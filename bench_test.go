@@ -119,7 +119,7 @@ func BenchmarkBroadcastConstants(b *testing.B) {
 
 // BenchmarkDelayMatrixNorm measures the full pipeline on a real protocol:
 // build the delay digraph of a periodic protocol on DB(2,5) and compute
-// ‖M(λ₀)‖ by sparse power iteration.
+// ‖M(λ₀)‖ as the largest per-vertex block norm.
 func BenchmarkDelayMatrixNorm(b *testing.B) {
 	db := topology.NewDeBruijn(2, 5)
 	p := protocols.PeriodicHalfDuplex(db.G)

@@ -58,8 +58,8 @@ func main() {
 
 	fmt.Println("λ        ‖M(λ)‖    max-local   Lemma 4.3 cap")
 	for _, lambda := range []float64{0.30, 0.50, 0.618, 0.6823, 0.80} {
-		global := dg.Norm(lambda)
-		local := dg.MaxLocalNorm(lambda)
+		global := dg.Matrix(lambda).Norm2() // power iteration on the whole matrix
+		local := dg.Norm(lambda)            // largest per-vertex block norm
 		cap := bounds.WHalfDuplex(p.Period, lambda)
 		fmt.Printf("%.4f   %.5f   %.5f     %.5f\n", lambda, global, local, cap)
 	}

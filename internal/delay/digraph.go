@@ -14,10 +14,9 @@
 //   - Digraph.Matrix / Instance.Matrix — the delay matrix M(λ) of
 //     Definition 3.4.
 //   - Digraph.Norm / Instance.Norm — ‖M(λ)‖₂, the quantity Theorem 4.1
-//     turns into the g(G) lower bound and Lemma 4.3 / Lemma 6.1 cap.
-//   - Digraph.LocalBlocks / MaxLocalNorm (both forms) — the row/column
-//     permutation of Section 4 splitting M(λ) into per-vertex blocks; their
-//     max norm equals ‖M(λ)‖ by norm property 8 of Section 2.
+//     turns into the g(G) lower bound and Lemma 4.3 / Lemma 6.1 cap,
+//     evaluated as the largest per-vertex block norm: the row/column
+//     permutation of Section 4 (blockSet) and norm property 8 of Section 2.
 //   - ExtractLocal / LocalProtocol — the local protocol ⟨(l_j),(r_j)⟩ one
 //     vertex sees (Section 4); Mx/Nx/Ox are Figs. 1 and 3, SemiEigenvector
 //     and Lemma42Check are Lemma 4.2, NormBound is Lemma 4.3.
@@ -28,6 +27,7 @@ package delay
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -68,8 +68,8 @@ type Digraph struct {
 // the per-round activation structure once and Instance unrolls it for t —
 // callers that build repeatedly (the certification pipeline) hold the Plan
 // and skip straight to Instance. The resulting digraph is identical to the
-// classic per-round construction (buildInterpreted, kept as the reference
-// the differential tests compare against).
+// classic per-round construction (buildInterpreted, kept in the tests as
+// the reference the differential tests compare against).
 func Build(g *graph.Digraph, p *gossip.Protocol, t int) (*Digraph, error) {
 	pl, err := NewPlan(g, p)
 	if err != nil {
@@ -80,50 +80,6 @@ func Build(g *graph.Digraph, p *gossip.Protocol, t int) (*Digraph, error) {
 		return nil, err
 	}
 	return in.Digraph(), nil
-}
-
-// buildInterpreted is the classic O(rounds × arcs) delay-digraph
-// construction, executing the protocol round by round exactly as
-// Definition 3.3 reads. It is retained as the independent reference the
-// plan differential tests pin Build/Instance against.
-func buildInterpreted(g *graph.Digraph, p *gossip.Protocol, t int) (*Digraph, error) {
-	if err := p.Validate(g); err != nil {
-		return nil, err
-	}
-	if t <= 0 {
-		return nil, fmt.Errorf("delay: nonpositive round count %d", t)
-	}
-	horizon := t
-	if p.Systolic() {
-		horizon = p.Period
-	}
-	dg := &Digraph{Horizon: horizon, T: t, N: g.N()}
-	// byHead[v] lists activation indices whose arc enters v, in round order.
-	byHead := make([][]int, g.N())
-	for r := 0; r < t; r++ {
-		for _, a := range p.Round(r) {
-			idx := len(dg.Verts)
-			dg.Verts = append(dg.Verts, Activation{From: a.From, To: a.To, Round: r})
-			byHead[a.To] = append(byHead[a.To], idx)
-		}
-	}
-	// byTail[v] lists activation indices whose arc leaves v, in round order.
-	byTail := make([][]int, g.N())
-	for idx, act := range dg.Verts {
-		byTail[act.From] = append(byTail[act.From], idx)
-	}
-	for v := 0; v < g.N(); v++ {
-		for _, aIdx := range byHead[v] {
-			ai := dg.Verts[aIdx].Round
-			for _, bIdx := range byTail[v] {
-				d := dg.Verts[bIdx].Round - ai
-				if d >= 1 && d < horizon {
-					dg.Arcs = append(dg.Arcs, DelayArc{A: aIdx, B: bIdx, W: d})
-				}
-			}
-		}
-	}
-	return dg, nil
 }
 
 // Matrix returns the delay matrix M(λ) of Definition 3.4 as a sparse CSR
@@ -141,56 +97,49 @@ func (dg *Digraph) Matrix(lambda float64) *matrix.CSR {
 	return matrix.NewCSR(len(dg.Verts), len(dg.Verts), ts)
 }
 
-// Norm returns ‖M(λ)‖₂ computed from the sparse delay matrix. By Lemma 4.3
-// this never exceeds λ·√p⌈s/2⌉(λ)·√p⌊s/2⌋(λ) for an s-systolic half-duplex
-// or directed protocol.
+// Norm returns ‖M(λ)‖₂ as the largest per-vertex block norm, through the
+// same block index and kernel as Instance.Norm (so the two agree bit for
+// bit). By Lemma 4.3 this never exceeds λ·√p⌈s/2⌉(λ)·√p⌊s/2⌋(λ) for an
+// s-systolic half-duplex or directed protocol.
 func (dg *Digraph) Norm(lambda float64) float64 {
-	return dg.Matrix(lambda).Norm2()
+	checkLambda("Norm", lambda)
+	bs := dg.blocks()
+	bn := blockNorm{set: bs, pow: make([]float64, bs.maxW+1)}
+	return bn.norm(lambda)
 }
 
-// LocalBlocks partitions the delay matrix by network vertex (the row/column
-// permutation argument of Section 4): block x has one row per activation
-// entering x and one column per activation leaving x, and the full delay
-// matrix is, up to permutation, block diagonal in these blocks. By norm
-// property 8, ‖M(λ)‖ = max over x of ‖block_x(λ)‖.
-//
-//gossip:allowpanic domain guard: delay recurrences run on validated parameters; a violation is a programming error
-func (dg *Digraph) LocalBlocks(lambda float64) []*matrix.Dense {
-	if lambda <= 0 || lambda >= 1 {
-		panic(fmt.Sprintf("delay: LocalBlocks needs 0 < λ < 1, got %g", lambda))
-	}
-	inAt := make([][]int, dg.N)
-	outAt := make([][]int, dg.N)
+// blocks builds the block index of M(λ): arcs sorted by row and column,
+// each column renumbered by its position among the activations leaving
+// the same vertex.
+func (dg *Digraph) blocks() *blockSet {
+	arcs := append([]DelayArc(nil), dg.Arcs...)
+	sort.Slice(arcs, func(i, j int) bool {
+		if arcs[i].A != arcs[j].A {
+			return arcs[i].A < arcs[j].A
+		}
+		return arcs[i].B < arcs[j].B
+	})
+	colPos := make([]int32, len(dg.Verts))
+	outCnt := make([]int32, dg.N)
 	for idx, act := range dg.Verts {
-		inAt[act.To] = append(inAt[act.To], idx)
-		outAt[act.From] = append(outAt[act.From], idx)
+		colPos[idx] = outCnt[act.From]
+		outCnt[act.From]++
 	}
-	rowPos := make(map[int]int, len(dg.Verts))
-	colPos := make(map[int]int, len(dg.Verts))
-	blocks := make([]*matrix.Dense, dg.N)
-	for x := 0; x < dg.N; x++ {
-		for pos, idx := range inAt[x] {
-			rowPos[idx] = pos
-		}
-		for pos, idx := range outAt[x] {
-			colPos[idx] = pos
-		}
-		blocks[x] = matrix.NewDense(len(inAt[x]), len(outAt[x]))
+	bs := &blockSet{
+		rowPtr: make([]int, len(dg.Verts)+1),
+		col:    make([]int32, len(arcs)),
+		wExp:   make([]int32, len(arcs)),
 	}
-	for _, a := range dg.Arcs {
-		// Arc (x,y,i) -> (y,z,j): row in block y (head of A), column in
-		// block y (tail of B). Both belong to vertex y's block.
-		y := dg.Verts[a.A].To
-		blocks[y].Set(rowPos[a.A], colPos[a.B], powf(lambda, a.W))
+	for e, a := range arcs {
+		bs.rowPtr[a.A+1]++
+		bs.col[e], bs.wExp[e] = colPos[a.B], int32(a.W)
+		bs.maxW = max(bs.maxW, a.W)
 	}
-	return blocks
-}
-
-// MaxLocalNorm returns max over network vertices of the local block norm,
-// which equals ‖M(λ)‖ by norm property 8; tests cross-check it against the
-// sparse global computation.
-func (dg *Digraph) MaxLocalNorm(lambda float64) float64 {
-	return matrix.BlockDiagNorm2(dg.LocalBlocks(lambda))
+	for r := range dg.Verts {
+		bs.rowPtr[r+1] += bs.rowPtr[r]
+	}
+	bs.groupRows(dg.N, func(row int) int { return dg.Verts[row].To })
+	return bs
 }
 
 func powf(l float64, k int) float64 {

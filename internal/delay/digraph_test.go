@@ -66,8 +66,8 @@ func TestGlobalNormEqualsMaxLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lambda := range []float64{0.4, 0.618, 0.8} {
-		global := dg.Norm(lambda)
-		local := dg.MaxLocalNorm(lambda)
+		global := dg.Matrix(lambda).Norm2()
+		local := dg.Norm(lambda)
 		if math.Abs(global-local) > 1e-7*(1+global) {
 			t.Fatalf("λ=%g: global norm %g != max local norm %g", lambda, global, local)
 		}

@@ -30,7 +30,7 @@ import (
 // Instances are memoized by round count: a serving layer certifying the
 // same protocol repeatedly reuses one instance, whose M(λ) evaluations (the
 // Theorem 4.1 checks and the λ loops of the root finders) run against a
-// fixed CSR structure with zero steady-state allocations. A Plan and its
+// fixed block structure with zero steady-state allocations. A Plan and its
 // Instances are safe for concurrent use.
 type Plan struct {
 	n      int // network vertices
@@ -150,10 +150,9 @@ func (pl *Plan) Instance(t int) (*Instance, error) {
 }
 
 // instantiate unrolls the compiled activation structure for t executed
-// rounds into a sorted CSR skeleton: rowPtr/colIdx plus the integer weight
-// exponent of every delay arc. Row/column order is identical to Build's
-// vertex numbering (round-major), so downstream matrices are bit-identical
-// to the classic construction.
+// rounds into M(λ)'s block index: the arcs row by row (rows in Build's
+// round-major vertex order) with the integer weight exponent and the local
+// column of every delay arc, plus the rows grouped by head vertex.
 func (pl *Plan) instantiate(t int) *Instance {
 	in := &Instance{plan: pl, t: t}
 	if pl.period > 0 {
@@ -163,12 +162,14 @@ func (pl *Plan) instantiate(t int) *Instance {
 		in.horizon = t
 		pl.unrollFinite(t, in)
 	}
-	in.vals = make([]float64, len(in.wExp))
-	in.powTab = make([]float64, in.maxW+1)
-	in.csr = matrix.NewCSRFromParts(in.verts, in.verts, in.rowPtr, in.colIdx, in.vals)
+	A := len(pl.acts)
+	in.groupRows(pl.n, func(row int) int { return pl.acts[row%A].To })
+	in.eval = blockNorm{set: &in.blockSet, pow: make([]float64, in.maxW+1)}
 	return in
 }
 
+// Block y's columns are y's outgoing activations, round-major: the i-th
+// activation of outAt[y] in repetition q is local column q·len(outAt[y])+i.
 func (pl *Plan) unrollSystolic(t int, in *Instance) {
 	A := len(pl.acts)
 	s := pl.period
@@ -180,26 +181,26 @@ func (pl *Plan) unrollSystolic(t int, in *Instance) {
 		if q == full {
 			lim = int(pl.actStart[rem])
 		}
-		base := q * A
 		for a := 0; a < lim; a++ {
 			act := pl.acts[a]
 			out := pl.outAt[act.To]
+			m := len(out)
 			r := act.Round
-			for _, k := range out[pl.sufStart[a]:] {
-				rb := pl.acts[k].Round
+			for i := int(pl.sufStart[a]); i < m; i++ {
+				rb := pl.acts[out[i]].Round
 				if q*s+rb >= t {
 					break // out is round-ascending; later entries only grow
 				}
-				in.push(base+int(k), rb-r)
+				in.push(q*m+i, rb-r)
 			}
-			for _, k := range out[:pl.prefEnd[a]] {
-				rb := pl.acts[k].Round
+			for i := 0; i < int(pl.prefEnd[a]); i++ {
+				rb := pl.acts[out[i]].Round
 				if (q+1)*s+rb >= t {
 					break
 				}
-				in.push(base+A+int(k), s+rb-r)
+				in.push((q+1)*m+i, s+rb-r)
 			}
-			in.rowPtr = append(in.rowPtr, len(in.colIdx))
+			in.rowPtr = append(in.rowPtr, len(in.col))
 		}
 	}
 }
@@ -214,58 +215,35 @@ func (pl *Plan) unrollFinite(t int, in *Instance) {
 	for a := 0; a < in.verts; a++ {
 		act := pl.acts[a]
 		out := pl.outAt[act.To]
-		for _, k := range out[pl.sufStart[a]:] {
+		for i := int(pl.sufStart[a]); i < len(out); i++ {
+			k := out[i]
 			if int(k) >= in.verts {
 				break
 			}
-			in.push(int(k), pl.acts[k].Round-act.Round)
+			in.push(i, pl.acts[k].Round-act.Round)
 		}
-		in.rowPtr = append(in.rowPtr, len(in.colIdx))
+		in.rowPtr = append(in.rowPtr, len(in.col))
 	}
 }
 
-// Instance is one delay digraph in compiled, evaluation-ready form: the CSR
-// skeleton of M(λ) (Definition 3.4) with integer weight exponents, plus the
-// preallocated value/power/power-iteration buffers every λ evaluation
-// reuses. Recent norms are memoized, so re-certifying at the same root λ₀
-// costs a lookup.
-//
-// Concurrency: Norm, MaxLocalNorm, Verts/Arcs and Digraph are safe for
-// concurrent use (evaluations serialize on the instance mutex; Digraph
-// returns fresh slices). Matrix and LocalBlocks return views that ALIAS the
-// instance's shared storage — the values are valid only until the next
-// Matrix/Norm/LocalBlocks/MaxLocalNorm call, and must not be read
-// concurrently with any of them. Callers sharing an instance across
-// goroutines (the serving layer does) should stick to the safe set.
+// Instance is one delay digraph in compiled, evaluation-ready form: the
+// block index of M(λ) (Definition 3.4) with integer weight exponents, plus
+// the power table and Lanczos scratch every λ evaluation reuses. Recent
+// norms are memoized, so re-certifying at the same root λ₀ costs a lookup.
+// All methods are safe for concurrent use (evaluations serialize on the
+// instance mutex; Digraph and Matrix return fresh storage).
 type Instance struct {
 	plan    *Plan
 	t       int // executed rounds the instance was unrolled for
 	horizon int // s for a systolic protocol, t for a finite one
 	verts   int
+	blockSet
 
-	rowPtr []int
-	colIdx []int
-	wExp   []int32 // per arc: the exponent w with M[a][b] = λ^w
-	maxW   int
-
-	mu         sync.Mutex
-	vals       []float64 // csr's value array, rewritten per λ
-	csr        *matrix.CSR
-	powTab     []float64 // powTab[w] = λ^w for powLambda
-	powLambda  float64   // λ the power table currently encodes (0 = none yet)
-	valsLambda float64   // λ the vals currently encode (0 = none yet)
-	scratch    matrix.NormScratch
-
+	mu      sync.Mutex
+	eval    blockNorm
 	memo    [normMemoSize]normMemo
 	memoLen int
 	memoPos int
-
-	// Lazily built local-block structure (the Section 4 permutation
-	// argument): one Dense per network vertex plus the flat entry list that
-	// refills them per λ.
-	blocks       []*matrix.Dense
-	blockEntries []blockEntry
-	blockScratch matrix.NormScratch
 }
 
 // normMemoSize bounds the per-instance ring of memoized ‖M(λ)‖ values —
@@ -275,12 +253,8 @@ const normMemoSize = 8
 
 type normMemo struct{ lambda, norm float64 }
 
-type blockEntry struct {
-	blk, row, col, w int32
-}
-
 func (in *Instance) push(col, w int) {
-	in.colIdx = append(in.colIdx, col)
+	in.col = append(in.col, int32(col))
 	in.wExp = append(in.wExp, int32(w))
 	if w > in.maxW {
 		in.maxW = w
@@ -298,7 +272,7 @@ func (in *Instance) Horizon() int { return in.horizon }
 func (in *Instance) Verts() int { return in.verts }
 
 // Arcs returns the number of delay arcs.
-func (in *Instance) Arcs() int { return len(in.colIdx) }
+func (in *Instance) Arcs() int { return len(in.col) }
 
 //gossip:allowpanic domain guard: delay recurrences run on validated parameters; a violation is a programming error
 func checkLambda(fn string, lambda float64) {
@@ -307,48 +281,17 @@ func checkLambda(fn string, lambda float64) {
 	}
 }
 
-// ensurePow fills the power table for λ with the same repeated-multiply
-// sequence as powf, keeping values bit-identical to the classic Matrix.
-func (in *Instance) ensurePow(lambda float64) {
-	if in.powLambda == lambda {
-		return
-	}
-	p := 1.0
-	for w := range in.powTab {
-		in.powTab[w] = p
-		p *= lambda
-	}
-	in.powLambda = lambda
-}
-
-func (in *Instance) reweight(lambda float64) {
-	if in.valsLambda == lambda {
-		return
-	}
-	in.ensurePow(lambda)
-	for k, w := range in.wExp {
-		in.vals[k] = in.powTab[w]
-	}
-	in.valsLambda = lambda
-}
-
-// Matrix returns the delay matrix M(λ) of Definition 3.4 re-weighted in
-// place over the instance's shared CSR skeleton. The returned matrix
-// aliases instance storage: it is valid until the next Matrix/Norm call and
-// must not be used concurrently with them. Callers needing an independent
-// copy should go through Digraph().Matrix(λ).
+// Matrix returns the delay matrix M(λ) of Definition 3.4 as a freshly
+// assembled CSR matrix, rows and columns in Build's vertex order.
 func (in *Instance) Matrix(lambda float64) *matrix.CSR {
-	checkLambda("Matrix", lambda)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.reweight(lambda)
-	return in.csr
+	return in.Digraph().Matrix(lambda)
 }
 
-// Norm returns ‖M(λ)‖₂ (bounded by Lemma 4.3 / 6.1 for systolic protocols).
-// The evaluation reuses the instance's CSR values, power table and
-// power-iteration scratch, so a λ loop performs zero steady-state
-// allocations; recently evaluated λ are answered from a small memo.
+// Norm returns ‖M(λ)‖₂ (bounded by Lemma 4.3 / 6.1 for systolic protocols)
+// as the largest per-vertex block norm. The evaluation reuses the
+// instance's power table and Lanczos scratch, so a λ loop performs zero
+// steady-state allocations; recently evaluated λ are answered from a small
+// memo.
 func (in *Instance) Norm(lambda float64) float64 {
 	checkLambda("Norm", lambda)
 	in.mu.Lock()
@@ -358,8 +301,7 @@ func (in *Instance) Norm(lambda float64) float64 {
 			return in.memo[i].norm
 		}
 	}
-	in.reweight(lambda)
-	n := in.csr.Norm2Scratch(&in.scratch)
+	n := in.eval.norm(lambda)
 	in.memo[in.memoPos] = normMemo{lambda: lambda, norm: n}
 	in.memoPos = (in.memoPos + 1) % normMemoSize
 	if in.memoLen < normMemoSize {
@@ -396,86 +338,22 @@ func (in *Instance) makeVerts() []Activation {
 // instance — the structure Build returns. Verts and Arcs are fresh slices
 // the caller may keep.
 func (in *Instance) Digraph() *Digraph {
+	pl := in.plan
+	A := len(pl.acts)
 	dg := &Digraph{
 		Verts:   in.makeVerts(),
-		Arcs:    make([]DelayArc, 0, len(in.colIdx)),
+		Arcs:    make([]DelayArc, 0, len(in.col)),
 		Horizon: in.horizon,
 		T:       in.t,
-		N:       in.plan.n,
+		N:       pl.n,
 	}
 	for row := 0; row < in.verts; row++ {
-		for k := in.rowPtr[row]; k < in.rowPtr[row+1]; k++ {
-			dg.Arcs = append(dg.Arcs, DelayArc{A: row, B: in.colIdx[k], W: int(in.wExp[k])})
+		out := pl.outAt[dg.Verts[row].To]
+		for e := in.rowPtr[row]; e < in.rowPtr[row+1]; e++ {
+			c := int(in.col[e]) // = q·len(out) + i, see unrollSystolic
+			b := c/len(out)*A + int(out[c%len(out)])
+			dg.Arcs = append(dg.Arcs, DelayArc{A: row, B: b, W: int(in.wExp[e])})
 		}
 	}
 	return dg
-}
-
-// ensureBlocks lazily builds the per-vertex block decomposition of Section 4
-// (one row per activation entering x, one column per activation leaving x)
-// as preallocated Dense blocks plus the entry list refilled per λ.
-func (in *Instance) ensureBlocks() {
-	if in.blocks != nil {
-		return
-	}
-	pl := in.plan
-	verts := in.makeVerts()
-	rowPos := make([]int32, in.verts)
-	colPos := make([]int32, in.verts)
-	inCnt := make([]int32, pl.n)
-	outCnt := make([]int32, pl.n)
-	for idx, act := range verts {
-		rowPos[idx] = inCnt[act.To]
-		inCnt[act.To]++
-		colPos[idx] = outCnt[act.From]
-		outCnt[act.From]++
-	}
-	in.blocks = make([]*matrix.Dense, pl.n)
-	for x := 0; x < pl.n; x++ {
-		in.blocks[x] = matrix.NewDense(int(inCnt[x]), int(outCnt[x]))
-	}
-	in.blockEntries = make([]blockEntry, 0, len(in.colIdx))
-	for row := 0; row < in.verts; row++ {
-		y := int32(verts[row].To) // block of the arc's common vertex
-		for k := in.rowPtr[row]; k < in.rowPtr[row+1]; k++ {
-			in.blockEntries = append(in.blockEntries, blockEntry{
-				blk: y, row: rowPos[row], col: colPos[in.colIdx[k]], w: in.wExp[k],
-			})
-		}
-	}
-}
-
-// LocalBlocks refills and returns the per-vertex local delay matrices
-// Mx-style blocks (the row/column permutation argument of Section 4) at λ.
-// The blocks alias instance storage and are valid until the next
-// LocalBlocks/MaxLocalNorm call.
-func (in *Instance) LocalBlocks(lambda float64) []*matrix.Dense {
-	checkLambda("LocalBlocks", lambda)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fillBlocks(lambda)
-}
-
-func (in *Instance) fillBlocks(lambda float64) []*matrix.Dense {
-	in.ensureBlocks()
-	in.ensurePow(lambda)
-	for _, b := range in.blocks {
-		b.Zero()
-	}
-	for _, e := range in.blockEntries {
-		in.blocks[e.blk].Set(int(e.row), int(e.col), in.powTab[e.w])
-	}
-	return in.blocks
-}
-
-// MaxLocalNorm returns max over network vertices of the local block norm,
-// which equals ‖M(λ)‖ by norm property 8 — the decomposition Lemma 4.3
-// bounds block by block. Repeated evaluations reuse the preallocated blocks
-// and scratch.
-func (in *Instance) MaxLocalNorm(lambda float64) float64 {
-	checkLambda("MaxLocalNorm", lambda)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	blocks := in.fillBlocks(lambda)
-	return matrix.BlockDiagNorm2Scratch(blocks, &in.blockScratch)
 }

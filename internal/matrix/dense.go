@@ -75,11 +75,6 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Zero resets every entry to 0 in place, keeping the backing storage — the
-// cheap half of reusing one Dense across repeated refill-and-evaluate
-// passes (the compiled delay plan's local blocks do this per λ).
-func (m *Dense) Zero() { clear(m.data) }
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)

@@ -4,53 +4,44 @@ import (
 	"math"
 )
 
-// Power-iteration parameters. The matrices arising from delay digraphs are
-// non-negative, so power iteration on MᵀM (a non-negative symmetric PSD
-// matrix) converges to the dominant eigenvalue; a small identity shift keeps
-// convergence safe when the dominant eigenvalue is nearly degenerate.
+// Power-iteration parameters of SpectralRadius and CSR.Norm2, which run on
+// non-negative matrices, where power iteration converges.
 const (
 	defaultMaxIter = 10000
 	defaultTol     = 1e-12
 )
 
-// Norm2 returns the Euclidean (spectral) matrix norm ‖m‖₂ = √ρ(mᵀm) computed
-// by power iteration on the Gram operator. The result is exact in the limit;
-// with the default tolerance it is accurate to ≈1e-10 for the well-behaved
-// non-negative matrices used in this repository.
+// Operator is a rows×cols linear map given by its two matrix-vector
+// products; *Dense and *CSR implement it, and so can any structured view
+// (the delay package's per-vertex blocks) that never materializes a matrix.
+type Operator interface {
+	Rows() int
+	Cols() int
+	MulVecTo(dst, v Vector) Vector
+	TransposeMulVecTo(dst, v Vector) Vector
+}
+
+// Norm2 returns the Euclidean (spectral) matrix norm ‖m‖₂ = √λ_max(mᵀm),
+// computed by OpNorm2's Lanczos kernel.
 func Norm2(m *Dense) float64 {
 	var s NormScratch
 	return m.Norm2Scratch(&s)
 }
 
-// Norm2Scratch computes ‖m‖₂ like Norm2 while drawing every power-iteration
-// vector from the scratch — repeated evaluations (the λ loops of the bound
-// root finders and the certification pipeline) perform zero steady-state
+// Norm2Scratch computes ‖m‖₂ like Norm2 while drawing every Lanczos vector
+// from the scratch — repeated evaluations perform zero steady-state
 // allocations. The result is bit-identical to Norm2.
-//
-//gossip:hotpath
-func (m *Dense) Norm2Scratch(s *NormScratch) float64 {
-	if m.Rows() == 0 || m.Cols() == 0 {
-		return 0
-	}
-	rho := gramSpectralRadiusScratch(m, m.Rows(), m.Cols(), s)
-	return math.Sqrt(rho)
-}
+func (m *Dense) Norm2Scratch(s *NormScratch) float64 { return OpNorm2(m, s) }
 
-// NormScratch holds the three power-iteration vectors of one norm
-// computation so callers evaluating many matrices (or one matrix at many λ)
-// can reuse them. The zero value is ready to use; buffers grow on demand and
-// are kept for the next call. A NormScratch is not safe for concurrent use —
-// give each goroutine its own.
+// NormScratch holds the working vectors of one norm computation so callers
+// evaluating many matrices (or one matrix at many λ) can reuse them. The
+// zero value is ready to use; buffers grow on demand and are kept for the
+// next call. A NormScratch is not safe for concurrent use — give each
+// goroutine its own.
 type NormScratch struct {
 	x, y, t Vector
-}
-
-// ensure sizes the buffers for a rows×cols operator and returns them.
-func (s *NormScratch) ensure(rows, cols int) (x, y, t Vector) {
-	s.x = growVec(s.x, cols)
-	s.y = growVec(s.y, cols)
-	s.t = growVec(s.t, rows)
-	return s.x, s.y, s.t
+	q       Vector // Lanczos basis, one cols-long vector per step
+	a, b, d Vector // tridiagonal diagonal, off-diagonal and LDLᵀ pivots
 }
 
 func growVec(v Vector, n int) Vector {
@@ -61,48 +52,117 @@ func growVec(v Vector, n int) Vector {
 	return v[:n]
 }
 
-// vecMulOps is the pair of matrix-vector products power iteration needs;
-// *Dense and *CSR both implement it, so one routine serves both without
-// allocating method-value closures.
-type vecMulOps interface {
-	MulVecTo(dst, v Vector) Vector
-	TransposeMulVecTo(dst, v Vector) Vector
+// OpNorm2 returns ‖m‖₂ = √λ_max(mᵀm) by Lanczos with full
+// reorthogonalization on the Gram operator x ↦ mᵀ(mx). The Krylov dimension
+// is capped by k = m.Cols(), so the run ends by construction: it stops when
+// the new Lanczos vector vanishes, when the Ritz residual of the top Ritz
+// pair falls to a few ulps of θ, or after k steps, when the basis spans the
+// whole space. θ is the top eigenvalue of the k'×k' tridiagonal, found by
+// Sturm bisection to the last ulp, so the result is exact up to round-off
+// in the matrix-vector products; there is no iteration cap or tolerance.
+// The basis takes k² floats of scratch, which suits the per-vertex blocks
+// of a delay matrix; a large sparse matrix goes through CSR.Norm2 instead.
+//
+//gossip:hotpath
+func OpNorm2(m Operator, s *NormScratch) float64 {
+	rows, k := m.Rows(), m.Cols()
+	if rows == 0 || k == 0 {
+		return 0
+	}
+	s.t, s.y, s.q = growVec(s.t, rows), growVec(s.y, k), growVec(s.q, k*k)
+	s.a, s.b, s.d = growVec(s.a, k), growVec(s.b, k), growVec(s.d, k)
+	t, w, a, b, d := s.t, s.y, s.a, s.b, s.d
+	// Deterministic, strictly positive start vector: never orthogonal to
+	// the Perron vector of a non-negative operator.
+	q := s.q[:k]
+	for i := range q {
+		q[i] = 1 + float64(i%7)/8
+	}
+	_ = q.Normalize() // a positive vector is never zero
+	var theta, bound, prevBeta float64
+	for j := 0; ; j++ {
+		m.MulVecTo(t, q)
+		m.TransposeMulVecTo(w, t)
+		a[j] = q.Dot(w)
+		// Two Gram–Schmidt passes against the whole basis ("twice is
+		// enough") subsume the three-term recurrence.
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i <= j; i++ {
+				qi := s.q[i*k : (i+1)*k]
+				c := qi.Dot(w)
+				for l, v := range qi {
+					w[l] -= c * v
+				}
+			}
+		}
+		beta := w.Norm2()
+		bound = math.Max(bound, a[j]+prevBeta+beta) // Gershgorin, row j
+		theta = tridiagTop(a[:j+1], b[:j], theta, bound, d[:j+1])
+		if j+1 == k || beta*ritzLast(b[:j], d[:j+1]) <= 4*epsilon*theta {
+			return math.Sqrt(theta)
+		}
+		b[j], prevBeta = beta, beta
+		q = s.q[(j+1)*k : (j+2)*k]
+		for i := range q {
+			q[i] = w[i] / beta
+		}
+	}
 }
 
-// gramSpectralRadiusScratch runs power iteration on x ↦ Mᵀ(Mx) using only
-// the two matrix-vector products, drawing every vector from the scratch.
-// The arithmetic is identical to the historical allocating implementation,
-// so results are bit-for-bit unchanged.
-func gramSpectralRadiusScratch(m vecMulOps, rows, cols int, s *NormScratch) float64 {
-	if cols == 0 {
+// epsilon is the float64 unit round-off 2⁻⁵².
+const epsilon = 0x1p-52
+
+// tridiagTop returns the largest eigenvalue θ of the symmetric tridiagonal
+// matrix T with diagonal a and off-diagonal b by Sturm-sequence bisection
+// on [lo, hi] down to adjacent floats: lo ≤ θ (the previous Lanczos step's
+// value is, by interlacing) and hi ≥ θ (Gershgorin). It returns the upper
+// end of the final bracket, leaving in d the pivots of T − θI = LDLᵀ.
+func tridiagTop(a, b Vector, lo, hi float64, d Vector) float64 {
+	if hi == 0 {
 		return 0
 	}
-	x, y, t := s.ensure(rows, cols)
-	// Deterministic, strictly positive start vector: guaranteed not to be
-	// orthogonal to the Perron vector of a non-negative operator.
-	for i := range x {
-		x[i] = 1 + float64(i%7)/8
-	}
-	if err := x.Normalize(); err != nil {
-		return 0
-	}
-	var prev float64 = -1
-	for iter := 0; iter < defaultMaxIter; iter++ {
-		m.MulVecTo(t, x)
-		m.TransposeMulVecTo(y, t)
-		lambda := x.Dot(y) // Rayleigh quotient estimate of ρ(MᵀM)
-		ny := y.Norm2()
-		if ny == 0 {
-			return 0
+	hi += hi / 1024 // strictly above every eigenvalue
+	for mid := lo + (hi-lo)/2; lo < mid && mid < hi; mid = lo + (hi-lo)/2 {
+		if allBelow(a, b, mid, d) {
+			hi = mid
+		} else {
+			lo = mid
 		}
-		y.Scale(1 / ny)
-		x, y = y, x
-		if prev >= 0 && math.Abs(lambda-prev) <= defaultTol*(1+math.Abs(lambda)) {
-			return lambda
-		}
-		prev = lambda
 	}
-	return prev
+	allBelow(a, b, hi, d)
+	return hi
+}
+
+// allBelow reports whether every eigenvalue of T lies below x: by
+// Sylvester's law of inertia, whether every pivot of T − xI = LDLᵀ, stored
+// in d, is negative.
+func allBelow(a, b Vector, x float64, d Vector) bool {
+	below := true
+	for i, ai := range a {
+		p := ai - x
+		if i > 0 {
+			p -= b[i-1] * b[i-1] / d[i-1]
+		}
+		below = below && p < 0
+		d[i] = p
+	}
+	return below
+}
+
+// ritzLast returns |sⱼ|, the last component of the unit eigenvector of T for
+// the θ whose pivots d holds: one inverse-iteration step from eⱼ solves
+// LDLᵀy = eⱼ back to front, yᵢ = −(bᵢ/dᵢ)·yᵢ₊₁. β·|sⱼ| is the Lanczos
+// residual of the Ritz pair.
+func ritzLast(b, d Vector) float64 {
+	y, sum := 1.0, 1.0
+	for i := len(b) - 1; i >= 0; i-- {
+		y *= b[i] / d[i]
+		sum += y * y
+		if sum > 1e200 {
+			return 0 // sⱼ is below any residual that matters
+		}
+	}
+	return 1 / math.Sqrt(sum)
 }
 
 // SpectralRadius returns ρ(m) for a square non-negative matrix m, computed by
@@ -146,31 +206,6 @@ func SpectralRadius(m *Dense) float64 {
 	return prev - 1
 }
 
-// SemiEigenvalue returns the smallest e such that m·x ≤ e·x holds
-// componentwise, i.e. the tightest semi-eigenvalue of the strictly positive
-// semi-eigenvector x for m (Definition 2.2). By Lemma 2.1, ρ(m) ≤ e for any
-// non-negative m and strictly positive x.
-//
-// It panics if x has a non-positive component or the shapes mismatch.
-//
-//gossip:allowpanic shape guard: dimension mismatches are programming errors, not input errors
-func SemiEigenvalue(m *Dense, x Vector) float64 {
-	if m.Rows() != m.Cols() || m.Cols() != len(x) {
-		panic("matrix: SemiEigenvalue shape mismatch")
-	}
-	if !x.IsPositive() {
-		panic("matrix: SemiEigenvalue requires a strictly positive vector")
-	}
-	y := m.MulVec(x)
-	var e float64
-	for i := range y {
-		if r := y[i] / x[i]; r > e {
-			e = r
-		}
-	}
-	return e
-}
-
 // IsSemiEigenvector reports whether m·x ≤ e·x componentwise within tol
 // (Definition 2.2 of the paper).
 func IsSemiEigenvector(m *Dense, x Vector, e, tol float64) bool {
@@ -191,7 +226,7 @@ func BlockDiagNorm2(blocks []*Dense) float64 {
 	return BlockDiagNorm2Scratch(blocks, &s)
 }
 
-// BlockDiagNorm2Scratch is BlockDiagNorm2 with every block's power iteration
+// BlockDiagNorm2Scratch is BlockDiagNorm2 with every block's Lanczos run
 // drawing from one reusable scratch; repeated evaluations over a fixed block
 // structure perform zero steady-state allocations.
 //
@@ -199,7 +234,7 @@ func BlockDiagNorm2(blocks []*Dense) float64 {
 func BlockDiagNorm2Scratch(blocks []*Dense, s *NormScratch) float64 {
 	var max float64
 	for _, b := range blocks {
-		if n := b.Norm2Scratch(s); n > max {
+		if n := OpNorm2(b, s); n > max {
 			max = n
 		}
 	}

@@ -205,3 +205,27 @@ func TestVectorOps(t *testing.T) {
 		t.Error("add/sub wrong")
 	}
 }
+
+// SemiEigenvalue returns the smallest e such that m·x ≤ e·x holds
+// componentwise, i.e. the tightest semi-eigenvalue of the strictly positive
+// semi-eigenvector x for m (Definition 2.2). By Lemma 2.1, ρ(m) ≤ e for any
+// non-negative m and strictly positive x. It is the tight reference the
+// Lemma 2.1 test checks IsSemiEigenvector and SpectralRadius against.
+//
+// It panics if x has a non-positive component or the shapes mismatch.
+func SemiEigenvalue(m *Dense, x Vector) float64 {
+	if m.Rows() != m.Cols() || m.Cols() != len(x) {
+		panic("matrix: SemiEigenvalue shape mismatch")
+	}
+	if !x.IsPositive() {
+		panic("matrix: SemiEigenvalue requires a strictly positive vector")
+	}
+	y := m.MulVec(x)
+	var e float64
+	for i := range y {
+		if r := y[i] / x[i]; r > e {
+			e = r
+		}
+	}
+	return e
+}

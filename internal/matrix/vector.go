@@ -3,9 +3,10 @@
 // norms, spectral radii of non-negative matrices, and the semi-eigenvector
 // relaxation of Flammini–Pérennès (Definition 2.2 of the paper).
 //
-// Everything is implemented with the standard library only. Norms and
-// spectral radii are computed with power iteration, which converges for the
-// non-negative matrices that arise from delay digraphs.
+// Everything is implemented with the standard library only. Dense and
+// operator norms come from a Lanczos kernel that runs to the last ulp;
+// spectral radii and large sparse norms from power iteration, which
+// converges for the non-negative matrices that arise from delay digraphs.
 package matrix
 
 import (

@@ -2,7 +2,9 @@ package systolic
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -23,8 +25,49 @@ type BroadcastReport struct {
 	// max(⌈log₂ n⌉ floor of the c(d)·log₂ n bound, eccentricity of the
 	// source).
 	CBound int `json:"c_bound"`
-	// C is the constant c(d) for the network's degree parameter.
+	// C is the constant c(d) for the network's degree parameter; +Inf
+	// (null in JSON) when none exists, as on paths and cycles.
 	C float64 `json:"c"`
+}
+
+// jsonConstant is c(d) on the wire. JSON has no infinity, so the +Inf of a
+// degree parameter without a broadcasting constant travels as null.
+type jsonConstant float64
+
+func (c jsonConstant) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(c), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(c))
+}
+
+func (c *jsonConstant) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*c = jsonConstant(math.Inf(1))
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(c))
+}
+
+// MarshalJSON encodes the report with an infinite C as null.
+func (r BroadcastReport) MarshalJSON() ([]byte, error) {
+	type fields BroadcastReport // the same fields without these methods
+	return json.Marshal(struct {
+		fields
+		C jsonConstant `json:"c"` // shadows fields.C, keeping its place last
+	}{fields(r), jsonConstant(r.C)})
+}
+
+// UnmarshalJSON decodes a null C as +Inf.
+func (r *BroadcastReport) UnmarshalJSON(data []byte) error {
+	type fields BroadcastReport
+	w := struct {
+		*fields
+		C jsonConstant `json:"c"`
+	}{fields: (*fields)(r)}
+	err := json.Unmarshal(data, &w)
+	r.C = float64(w.C)
+	return err
 }
 
 // AnalyzeBroadcast builds the BFS-tree broadcast schedule from source,

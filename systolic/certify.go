@@ -2,6 +2,7 @@ package systolic
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -76,8 +77,11 @@ func (dp *DelayPlan) matches(p *Protocol) bool {
 	return dp.proto == p || dp.fp == p.Fingerprint()
 }
 
-// normCapTol absorbs power-iteration round-off when comparing ‖M(λ₀)‖
-// against its structural cap of 1.
+// normCapTol absorbs floating-point round-off when comparing ‖M(λ₀)‖
+// against its structural cap of 1, which balanced schedules approach as
+// the round count grows. The block Lanczos kernel is exact up to the
+// rounding of its matrix-vector products: it reads path/zigzag n=700, whose
+// true norm is at most 1, as 1 + 5.3e-15.
 const normCapTol = 1e-9
 
 // BroadcastBound is the broadcast section of a Certificate: the
@@ -87,7 +91,8 @@ const normCapTol = 1e-9
 type BroadcastBound struct {
 	// Source is the broadcast source vertex.
 	Source int `json:"source"`
-	// C is the asymptotic constant c(d) for the network's degree parameter.
+	// C is the asymptotic constant c(d) for the network's degree parameter;
+	// +Inf (null in JSON) when none exists, as on paths and cycles.
 	C float64 `json:"c"`
 	// CBound is the certified finite-n lower bound on broadcast rounds.
 	CBound int `json:"c_bound"`
@@ -111,6 +116,28 @@ type BroadcastBound struct {
 	// scanned source below it, present only when Violations > 0.
 	Violations      int  `json:"floor_violations,omitempty"`
 	ViolatingSource *int `json:"violating_source,omitempty"`
+}
+
+// MarshalJSON encodes the bound with an infinite C as null.
+func (b BroadcastBound) MarshalJSON() ([]byte, error) {
+	type fields BroadcastBound // the same fields without these methods
+	return json.Marshal(struct {
+		Source int          `json:"source"` // shadows fields.Source and C,
+		C      jsonConstant `json:"c"`      // keeping both in place
+		fields
+	}{b.Source, jsonConstant(b.C), fields(b)})
+}
+
+// UnmarshalJSON decodes a null C as +Inf.
+func (b *BroadcastBound) UnmarshalJSON(data []byte) error {
+	type fields BroadcastBound
+	w := struct {
+		C jsonConstant `json:"c"`
+		*fields
+	}{fields: (*fields)(b)}
+	err := json.Unmarshal(data, &w)
+	b.C = float64(w.C)
+	return err
 }
 
 // Certificate is the typed outcome of the certification pipeline: the

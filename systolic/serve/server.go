@@ -118,6 +118,7 @@ var (
 	errSaturated = errors.New("serve: worker queue is full")
 	errDraining  = errors.New("serve: server is draining")
 	errNoResult  = errors.New("serve: computation finished without a result")
+	errEncode    = errors.New("serve: response encoding failed")
 )
 
 // New builds a Server. Callers mount Handler on an http.Server and should
@@ -287,12 +288,19 @@ func toSweepLine(res systolic.SweepResult) sweepLine {
 	return line
 }
 
+// writeJSON encodes v before committing the status line, so a value JSON
+// cannot carry turns into a 500 carrying errEncode instead of a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		// A map of strings always encodes.
+		data, _ = json.Marshal(map[string]string{"error": errEncode.Error() + ": " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(data, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -180,6 +181,61 @@ func TestAnalyzeValidation(t *testing.T) {
 		if !bytes.Contains(body, []byte("error")) {
 			t.Errorf("%s: error body missing: %s", tc.name, body)
 		}
+	}
+}
+
+// TestBroadcastInfiniteConstant pins broadcast on a path, whose degree
+// parameter has no broadcasting constant: c(d) = +Inf travels as null in a
+// 200 response, for a single source and for a scan's bound, and decodes
+// back to +Inf.
+func TestBroadcastInfiniteConstant(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/broadcast", AnalyzeRequest{
+		Kind: "path", Params: map[string]int{"nodes": 16}, Source: 7,
+	})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("broadcast status %d (%v): %s", resp.StatusCode, err, body)
+	}
+	if !bytes.Contains(body, []byte(`"c": null`)) {
+		t.Errorf("infinite c(d) not encoded as null: %s", body)
+	}
+	var env struct {
+		Report systolic.BroadcastReport `json:"report"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if r := env.Report; !math.IsInf(r.C, 1) || r.Source != 7 || r.CBound != 8 || r.Measured < r.CBound {
+		t.Errorf("path broadcast report %+v, want c = +Inf and c_bound = eccentricity 8", r)
+	}
+
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/broadcast", AnalyzeRequest{
+		Kind: "path", Params: map[string]int{"nodes": 16}, Sources: &SourcesSpec{All: true},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("path scan status %d", resp.StatusCode)
+	}
+	all := decodeBody[struct {
+		Report systolic.BroadcastAllReport `json:"report"`
+	}](t, resp)
+	if b := all.Report.Bound; b == nil || !math.IsInf(b.C, 1) || b.ScannedSources != 16 {
+		t.Errorf("path scan bound %+v, want c = +Inf over 16 sources", b)
+	}
+}
+
+// TestWriteJSONEncodeFailure pins that a value JSON cannot encode answers
+// 500 with errEncode instead of committing the status line first.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], errEncode.Error()) {
+		t.Errorf("status %d, body %v; want 500 carrying %q", rec.Code, body, errEncode)
 	}
 }
 
