@@ -6,45 +6,40 @@ import (
 	"repro/internal/graph"
 )
 
-// This file holds the generator-driven flooding steps: the streaming
-// counterparts of StepFlood / Step that walk arcs computed on the fly from
-// a graph.FloodGen instead of a lowered CSR. Memory per worker is the two
-// frontier buffers plus the FloodGen's fixed scratch — independent of the
-// arc count — which is what lets a d=24 hypercube batch (16.7M nodes,
-// ~400M arcs) scan in well under 1 GiB. Both steps keep the zero-alloc
-// hot-path contract; the arc buffers are the FloodGen's, allocated once
-// per worker.
+// This file holds the packed flooding step, over any graph.ArcSource: a
+// materialized network's DigraphSource or an arithmetic generator. Memory
+// per worker is the two frontier buffers plus the FloodGen's fixed scratch;
+// a generator adds nothing for its arcs, which is what lets a d=24
+// hypercube batch (16.7M nodes, ~400M arcs) scan in well under 1 GiB.
 
 // StepFloodGenRange computes the next-round words for destinations
-// [lo, hi) only: the vertex-range shard of a generator-driven StepFlood.
-// Shards of one round partition [0, n) across workers (disjoint writes to
-// the next buffer, read-only current buffer), each using its own FloodGen;
-// when every shard has returned, exactly one caller must CommitStep, and
-// the round's (complete, changed, informed) are the AND / OR / sum of the
-// shard results, with complete and changed masked by Full.
+// [lo, hi) only: one vertex-range shard of a flooding step. Shards of one
+// round partition [0, n) across workers (disjoint writes to the next
+// buffer, read-only current buffer); a FloodGen with arc scratch (ArcBuf
+// non-nil) must not serve two shards at once. When every shard has
+// returned, exactly one caller must CommitStep, and the round's
+// (complete, changed, informed) are the AND / OR / sum of the shard
+// results, with complete and changed masked by Full.
 //
 // The walk is destination-major in GenChunkVerts chunks. On the
-// OrGatherer fast path the generator folds the current words over each
-// chunk's in-neighborhoods itself — one interface call per chunk, no
-// neighbor ids in memory; otherwise each destination gathers through the
-// FloodGen's arc buffer.
+// OrGatherer fast path the source folds the current words over each
+// chunk's in-neighborhoods straight into the chunk's slice of the next
+// buffer, and a second pass over those L1-resident words adds each
+// vertex's own word and the round statistics; otherwise each destination
+// gathers through the FloodGen's arc buffer.
 //
 //gossip:hotpath
 func (f *PackedFrontier) StepFloodGenRange(fg *graph.FloodGen, lo, hi int) (and, changed uint64, informed int) {
 	cur, nxt := f.cur, f.next
 	and = ^uint64(0)
 	if og := fg.Gatherer(); og != nil {
-		orbuf := fg.OrBuf()
 		for clo := lo; clo < hi; clo += graph.GenChunkVerts {
-			chi := clo + graph.GenChunkVerts
-			if chi > hi {
-				chi = hi
-			}
-			og.OrInChunk(clo, chi, cur, orbuf[:chi-clo])
-			for v := clo; v < chi; v++ {
-				pv := cur[v]
-				w := pv | orbuf[v-clo]
-				nxt[v] = w
+			chi := min(clo+graph.GenChunkVerts, hi)
+			out, own := nxt[clo:chi], cur[clo:chi]
+			og.OrInChunk(clo, chi, cur, out)
+			for i, pv := range own {
+				w := pv | out[i]
+				out[i] = w
 				changed |= w ^ pv
 				and &= w
 				informed += bits.OnesCount64(w)
@@ -76,42 +71,18 @@ func (f *PackedFrontier) CommitStep() {
 	f.cur, f.next = f.next, f.cur
 }
 
-// StepFloodGen advances every lane one flooding round over the generator:
-// the single-worker convenience over StepFloodGenRange + CommitStep. It
-// returns exactly what StepFlood returns on the lowered CSR of the same
-// graph — the two kernels are differential-pinned round for round.
+// StepFloodGen advances every lane one flooding round: each vertex word
+// ORs in the beginning-of-round words of its in-neighbors. It returns the
+// lanes whose source now reaches every vertex (complete), the lanes that
+// informed at least one new vertex this round (changed; a lane absent from
+// both masks has hit its reachable fixpoint and can never complete), and
+// the total informed (vertex, lane) pairs, the popcount column sum scan
+// progress traces report. It is the single-worker convenience over
+// StepFloodGenRange + CommitStep.
 //
 //gossip:hotpath
 func (f *PackedFrontier) StepFloodGen(fg *graph.FloodGen) (complete, changed uint64, informed int) {
 	and, ch, informed := f.StepFloodGenRange(fg, 0, f.n)
 	f.CommitStep()
 	return and & f.full, ch & f.full, informed
-}
-
-// StepGen applies one communication round of the flooding schedule walked
-// from the generator — an arc (x, y) informs y iff x was informed at the
-// beginning of the round — and returns the number of newly informed
-// vertices. It matches Step over FloodCSR.Arcs() exactly.
-//
-//gossip:hotpath
-func (f *FrontierState) StepGen(fg *graph.FloodGen) int {
-	copy(f.prev, f.informed)
-	src := fg.Src()
-	buf := fg.ArcBuf()
-	gained := 0
-	for v := 0; v < f.n; v++ {
-		if f.informed.has(v) {
-			continue
-		}
-		k := src.InArcs(v, buf)
-		for i := 0; i < k; i++ {
-			if f.prev.has(int(buf[i])) {
-				f.informed.set(v)
-				gained++
-				break
-			}
-		}
-	}
-	f.know += gained
-	return gained
 }

@@ -3,8 +3,6 @@ package gossip
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/graph"
 )
 
 // PackedLanes is the number of broadcast sources one packed pass steps
@@ -17,8 +15,8 @@ const PackedLanes = 64
 // into every vertex word, advancing up to 64 independent broadcasts at
 // once — the exchange op is the same OR whether a word carries one
 // source's frontier or sixty-four. The two buffers double-buffer the
-// round, so a step reads only beginning-of-round state; StepFlood performs
-// zero allocations.
+// round, so a step reads only beginning-of-round state; StepFloodGen
+// performs zero allocations.
 type PackedFrontier struct {
 	n     int
 	lanes int
@@ -30,7 +28,8 @@ type PackedFrontier struct {
 // NewPackedFrontier returns a packed frontier for an n-vertex network with
 // no loaded batch; Reset loads one.
 func NewPackedFrontier(n int) *PackedFrontier {
-	return &PackedFrontier{n: n, cur: make([]uint64, n), next: make([]uint64, n)}
+	words := make([]uint64, 2*n) // both buffers in one allocation
+	return &PackedFrontier{n: n, cur: words[:n:n], next: words[n:]}
 }
 
 // Reset loads a batch without reallocating: lane i broadcasts from
@@ -65,44 +64,6 @@ func (f *PackedFrontier) Full() uint64 { return f.full }
 
 // Informed reports whether vertex v is informed in lane s.
 func (f *PackedFrontier) Informed(v, lane int) bool { return f.cur[v]&(1<<lane) != 0 }
-
-// StepFlood advances every lane one flooding round over the lowered
-// schedule: each vertex word ORs in the beginning-of-round words of its
-// in-neighbors. It returns the lanes whose source now reaches every
-// vertex (complete), the lanes that informed at least one new vertex this
-// round (changed — a lane absent from both masks has hit its reachable
-// fixpoint and can never complete), and the total informed (vertex, lane)
-// pairs, the popcount column sum scan progress traces report. The walk is
-// destination-major — sequential writes, per-vertex gathers — with the
-// gather unrolled to 64 bytes (8 words) per iteration so the OR-tree keeps
-// all 8 loads in flight and auto-vectorizes.
-//
-//gossip:hotpath
-func (f *PackedFrontier) StepFlood(cs *graph.FloodCSR) (complete, changed uint64, informed int) {
-	cur, nxt := f.cur, f.next
-	indptr, src := cs.Indptr, cs.Src
-	all := ^uint64(0)
-	var ch uint64
-	count := 0
-	for v := range nxt {
-		pv := cur[v]
-		w := pv
-		s, e := int(indptr[v]), int(indptr[v+1])
-		for ; e-s >= 8; s += 8 {
-			w |= cur[src[s]] | cur[src[s+1]] | cur[src[s+2]] | cur[src[s+3]] |
-				cur[src[s+4]] | cur[src[s+5]] | cur[src[s+6]] | cur[src[s+7]]
-		}
-		for ; s < e; s++ {
-			w |= cur[src[s]]
-		}
-		nxt[v] = w
-		ch |= w ^ pv
-		all &= w
-		count += bits.OnesCount64(w)
-	}
-	f.cur, f.next = nxt, cur
-	return all & f.full, ch & f.full, count
-}
 
 // InformedCount returns the current informed (vertex, lane) column count.
 func (f *PackedFrontier) InformedCount() int {

@@ -24,8 +24,26 @@ func randDigraph(rng *rand.Rand, n, extra int) *graph.Digraph {
 	return g
 }
 
-// TestPackedFloodMatchesFrontier: a packed pass over the lowered flooding
-// schedule must track 64 independent scalar frontier floods bit for bit —
+// floodArcs expands the flooding round of g — every arc, listed
+// destination-major — into the explicit arc slice the scalar reference
+// frontier steps.
+func floodArcs(g *graph.Digraph) []graph.Arc {
+	arcs := make([]graph.Arc, 0, g.M())
+	for v := 0; v < g.N(); v++ {
+		for _, u := range g.In(v) {
+			arcs = append(arcs, graph.Arc{From: u, To: v})
+		}
+	}
+	return arcs
+}
+
+// digraphFlood returns a flood-step view of g's in-neighbor CSR.
+func digraphFlood(g *graph.Digraph) *graph.FloodGen {
+	return graph.NewFloodGen(graph.NewDigraphSource(g))
+}
+
+// TestPackedFloodMatchesFrontier: a packed pass over a digraph's
+// in-neighbor CSR must track 64 independent scalar frontier floods bit for bit —
 // per round, per vertex, per lane — including the complete and changed
 // masks it reports.
 func TestPackedFloodMatchesFrontier(t *testing.T) {
@@ -33,8 +51,8 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(150)
 		g := randDigraph(rng, n, rng.Intn(3*n))
-		cs := g.LowerFlood()
-		flood := cs.Arcs()
+		fg := digraphFlood(g)
+		flood := floodArcs(g)
 
 		lanes := 1 + rng.Intn(PackedLanes)
 		if trial == 0 {
@@ -56,7 +74,7 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 		}
 
 		for round := 1; round <= n+1; round++ {
-			complete, changed, informed := pf.StepFlood(cs)
+			complete, changed, informed := pf.StepFloodGen(fg)
 			var wantComplete, wantChanged uint64
 			wantInformed := 0
 			for i, ref := range refs {
@@ -103,12 +121,12 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 // stale knowledge cleared.
 func TestPackedFrontierReset(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(1)), 40, 60)
-	cs := g.LowerFlood()
+	fg := digraphFlood(g)
 	pf := NewPackedFrontier(40)
 
 	pf.Reset([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	for pf.CompleteMask() != pf.Full() {
-		if _, changed, _ := pf.StepFlood(cs); changed == 0 {
+		if _, changed, _ := pf.StepFloodGen(fg); changed == 0 {
 			t.Fatal("first batch stalled on a cycle-bearing digraph")
 		}
 	}
@@ -128,7 +146,7 @@ func TestPackedFrontierReset(t *testing.T) {
 	}
 	// Both lanes flood identically from vertex 9.
 	for {
-		complete, changed, _ := pf.StepFlood(cs)
+		complete, changed, _ := pf.StepFloodGen(fg)
 		if b0, b1 := complete&1 != 0, complete&2 != 0; b0 != b1 {
 			t.Fatal("duplicate-source lanes diverged")
 		}
@@ -139,11 +157,11 @@ func TestPackedFrontierReset(t *testing.T) {
 }
 
 // TestPackedStepZeroAlloc pins the packed step's zero-allocation contract
-// (the gossipvet hotalloc analyzer enforces it statically; this pins the
-// runtime behavior).
+// over a digraph's CSR gather (the gossipvet hotalloc analyzer enforces it
+// statically; this pins the runtime behavior).
 func TestPackedStepZeroAlloc(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(2)), 256, 512)
-	cs := g.LowerFlood()
+	fg := digraphFlood(g)
 	pf := NewPackedFrontier(256)
 	sources := make([]int, PackedLanes)
 	for i := range sources {
@@ -151,10 +169,10 @@ func TestPackedStepZeroAlloc(t *testing.T) {
 	}
 	pf.Reset(sources)
 	allocs := testing.AllocsPerRun(100, func() {
-		pf.StepFlood(cs)
+		pf.StepFloodGen(fg)
 	})
 	if allocs != 0 {
-		t.Fatalf("StepFlood allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("StepFloodGen allocated %.1f times per step, want 0", allocs)
 	}
 }
 
@@ -163,7 +181,7 @@ func TestPackedStepZeroAlloc(t *testing.T) {
 // of its source — the semantic content of the flooding schedule.
 func TestPackedCompletionRoundsAreEccentricities(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(3)), 70, 140)
-	cs := g.LowerFlood()
+	fg := digraphFlood(g)
 	sources := make([]int, 64)
 	for i := range sources {
 		sources[i] = i
@@ -173,7 +191,7 @@ func TestPackedCompletionRoundsAreEccentricities(t *testing.T) {
 	completeAt := make([]int, 64)
 	var done uint64
 	for round := 1; done != pf.Full(); round++ {
-		complete, changed, _ := pf.StepFlood(cs)
+		complete, changed, _ := pf.StepFloodGen(fg)
 		for m := complete &^ done; m != 0; m &= m - 1 {
 			completeAt[bits.TrailingZeros64(m)] = round
 		}

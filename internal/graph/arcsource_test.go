@@ -70,9 +70,12 @@ func TestMaterializeSourceRoundTrip(t *testing.T) {
 	}
 }
 
+// inArcsOnly hides a source's OrGatherer fast path.
+type inArcsOnly struct{ ArcSource }
+
 func TestNewFloodGenScratch(t *testing.T) {
 	g := sampleDigraph()
-	src := NewDigraphSource(g)
+	src := inArcsOnly{NewDigraphSource(g)}
 	fg := NewFloodGen(src)
 	if fg.Src() != ArcSource(src) {
 		t.Fatal("Src: wrong generator")
@@ -80,39 +83,22 @@ func TestNewFloodGenScratch(t *testing.T) {
 	if fg.N() != g.N() {
 		t.Fatalf("N: got %d want %d", fg.N(), g.N())
 	}
+	if fg.Gatherer() != nil {
+		t.Fatal("a source without OrInChunk must not advertise the fast path")
+	}
 	if len(fg.ArcBuf()) != src.DegBound() {
 		t.Fatalf("ArcBuf: len %d want %d", len(fg.ArcBuf()), src.DegBound())
-	}
-	// DigraphSource has no OrGatherer fast path.
-	if fg.Gatherer() != nil || fg.OrBuf() != nil {
-		t.Fatal("DigraphSource must not advertise an OrGatherer fast path")
-	}
-}
-
-// orSource wraps a DigraphSource with a reference OrGatherer so the
-// FloodGen fast-path wiring is testable without an arithmetic generator.
-type orSource struct{ *DigraphSource }
-
-func (s orSource) OrInChunk(lo, hi int, table, out []uint64) {
-	var buf [8]int32
-	for v := lo; v < hi; v++ {
-		var acc uint64
-		k := s.InArcs(v, buf[:])
-		for _, u := range buf[:k] {
-			acc |= table[u]
-		}
-		out[v-lo] = acc
 	}
 }
 
 func TestNewFloodGenGathererPath(t *testing.T) {
-	src := orSource{NewDigraphSource(sampleDigraph())}
+	src := NewDigraphSource(sampleDigraph())
 	fg := NewFloodGen(src)
 	if fg.Gatherer() == nil {
-		t.Fatal("OrGatherer implementation not detected")
+		t.Fatal("DigraphSource's OrGatherer fast path not detected")
 	}
-	if len(fg.OrBuf()) != GenChunkVerts {
-		t.Fatalf("OrBuf: len %d want %d", len(fg.OrBuf()), GenChunkVerts)
+	if fg.ArcBuf() != nil {
+		t.Fatal("the fast path needs no per-vertex arc scratch")
 	}
 	table := []uint64{1, 2, 4, 8, 16, 32}
 	out := make([]uint64, 6)
@@ -123,6 +109,12 @@ func TestNewFloodGenGathererPath(t *testing.T) {
 		if out[v] != w {
 			t.Errorf("OrInChunk vertex %d: got %d want %d", v, out[v], w)
 		}
+	}
+	// An interior chunk writes only its own destinations.
+	out = []uint64{99, 99}
+	fg.Gatherer().OrInChunk(2, 4, table, out[:2])
+	if out[0] != 1|2 || out[1] != 1 {
+		t.Errorf("OrInChunk [2, 4): got %v want [3 1]", out)
 	}
 }
 

@@ -25,57 +25,3 @@ func PackArcs(dst []PackedArc, round []Arc, words int) []PackedArc {
 	}
 	return dst
 }
-
-// FloodCSR is the flooding level schedule lowered once onto the packed
-// one-word-per-vertex state layout: the round is the same every level
-// (every arc is active), so the whole schedule compiles to a single
-// destination-major CSR. Src[Indptr[v]:Indptr[v+1]] are the precomputed
-// word offsets of v's in-neighbors — with one knowledge word per vertex
-// the offset of vertex u is u itself, stored as int32 so the hot gather
-// loop never widens or multiplies. Destination-major order makes the
-// per-round walk cache-blocked by construction: the destination words are
-// written strictly sequentially, and because neighbors of consecutive
-// destinations cluster in the same regions for the structured topologies
-// (hypercube, de Bruijn, tori), the scattered source reads keep re-hitting
-// resident lines instead of striding.
-type FloodCSR struct {
-	N      int
-	Indptr []int32
-	Src    []int32
-}
-
-// LowerFlood lowers the source-independent flooding schedule of g. The
-// in-neighbor lists are emitted in sorted order, so the lowering — like
-// every compiled artifact — is deterministic for a given arc set.
-func (g *Digraph) LowerFlood() *FloodCSR {
-	g.sortAdj()
-	m := 0
-	for v := 0; v < g.n; v++ {
-		m += len(g.in[v])
-	}
-	cs := &FloodCSR{
-		N:      g.n,
-		Indptr: make([]int32, g.n+1),
-		Src:    make([]int32, 0, m),
-	}
-	for v := 0; v < g.n; v++ {
-		for _, u := range g.in[v] {
-			cs.Src = append(cs.Src, int32(u))
-		}
-		cs.Indptr[v+1] = int32(len(cs.Src))
-	}
-	return cs
-}
-
-// Arcs re-expands the lowered schedule into an explicit arc slice in the
-// CSR's destination-major order — the round the scalar reference kernel
-// feeds to a one-bit frontier, byte-equal in effect to the packed walk.
-func (cs *FloodCSR) Arcs() []Arc {
-	arcs := make([]Arc, 0, len(cs.Src))
-	for v := 0; v < cs.N; v++ {
-		for _, u := range cs.Src[cs.Indptr[v]:cs.Indptr[v+1]] {
-			arcs = append(arcs, Arc{From: int(u), To: v})
-		}
-	}
-	return arcs
-}

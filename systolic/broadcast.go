@@ -166,14 +166,11 @@ type BroadcastAllReport struct {
 // source of the network (or the WithSources subset) in one scan.
 //
 // Flooding is source-independent — the same "every arc, every round"
-// schedule serves all sources — so it lowers once (graph.LowerFlood) into
-// a destination-major CSR, and the scan packs up to 64 sources into the 64
-// bits of each knowledge word and steps them simultaneously through the
-// compiled schedule (gossip.PackedFrontier): ⌈sources/64⌉ passes replace
-// the per-source loop, batches run in parallel across WithWorkers workers,
-// and per-bit completion tracking recovers every source's exact round
-// count. WithScalarScan forces the scalar per-source reference kernel,
-// which produces byte-identical reports and errors.
+// schedule serves all sources — so the scan packs up to 64 sources into
+// the 64 bits of each knowledge word and steps them simultaneously
+// (gossip.PackedFrontier): ⌈sources/64⌉ passes replace the per-source
+// loop, batches run in parallel across WithWorkers workers, and per-bit
+// completion tracking recovers every source's exact round count.
 //
 // Note this deliberately measures a different schedule than the
 // single-source AnalyzeBroadcast, which builds a per-source BFS-tree
@@ -185,20 +182,20 @@ type BroadcastAllReport struct {
 // with ErrIncomplete; a source that cannot reach every vertex aborts it
 // with ErrUnreachable (raising the budget cannot help).
 //
-// Networks carrying a generator can be scanned without the CSR lowering:
-// the streaming kernels compute arcs on the fly and touch only O(n)
-// frontier memory. The scan picks them automatically for implicit
-// networks, for generator-backed networks above DefaultImplicitScanNodes,
-// and when the CSR would not fit a WithMaxMemory cap; WithImplicitScan
-// forces them. Reports and errors are byte-identical across all four
-// kernels (CSR/generator × packed/scalar).
+// The scan walks one arc source. A materialized network is flooded over
+// the destination-major in-neighbor CSR of its digraph; an implicit
+// network over its generator, which computes arcs on the fly and touches
+// only O(n) frontier memory. A materialized network carrying a generator
+// is scanned through the generator when WithImplicitScan forces it or when
+// the CSR would not fit a WithMaxMemory cap. Reports and errors are
+// byte-identical whichever source the scan walks.
 func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error) {
 	cfg := newConfig(opts)
 	sources, explicit, err := scanSources(net, cfg.sources)
 	if err != nil {
 		return nil, err
 	}
-	useGen, err := pickScanKernel(net, len(sources), cfg)
+	src, err := pickScanSource(net, len(sources), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -206,82 +203,57 @@ func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*Br
 	if explicit {
 		rep.Sources = sources
 	}
-	switch {
-	case useGen && cfg.scalarScan:
-		fg := graph.NewFloodGen(net.Gen)
-		err = scalarScan(ctx, net, func(fr *gossip.FrontierState) int { return fr.StepGen(fg) }, sources, rep.Rounds, cfg)
-	case useGen:
-		err = packedScanGen(ctx, net, sources, rep.Rounds, cfg)
-	case cfg.scalarScan:
-		round := net.G.LowerFlood().Arcs()
-		err = scalarScan(ctx, net, func(fr *gossip.FrontierState) int { return fr.Step(round) }, sources, rep.Rounds, cfg)
-	default:
-		err = packedScan(ctx, net, net.G.LowerFlood(), sources, rep.Rounds, cfg)
-	}
-	if err != nil {
+	sc := floodScan{net: net, src: src, op: "broadcast-all", sources: sources, rounds: rep.Rounds, cfg: cfg}
+	if err := sc.run(ctx); err != nil {
 		return nil, err
 	}
 	rep.summarize(net, sources)
 	return rep, nil
 }
 
-// pickScanKernel decides between the CSR kernels and the streaming
-// generator kernels for one scan. Forcing (WithImplicitScan) wins, then
-// necessity (an implicit network has nothing to lower), then the size
-// heuristic, then the WithMaxMemory guard rail — which can demote a
-// CSR-eligible scan to the generator path, or fail it with ErrMemoryBudget
-// when no kernel fits the cap.
-func pickScanKernel(net *Network, nsrc int, cfg config) (useGen bool, err error) {
-	hasGen := net.Gen != nil
-	switch {
-	case cfg.implicitScan:
-		if !hasGen {
-			return false, fmt.Errorf("systolic: broadcast-all on %s: %w: WithImplicitScan needs a generator-backed network",
-				net.Name, ErrBadParam)
-		}
-		useGen = true
-	case net.Implicit():
-		// Implicit networks always carry a generator (PlainImplicit and
-		// ClassifiedImplicit are the only constructors of G == nil).
-		useGen = true
-	case hasGen && net.N() > DefaultImplicitScanNodes:
-		useGen = true
+// pickScanSource chooses the arc source one scan floods, by memory alone:
+// the generator when WithImplicitScan forces it or the network is
+// implicit (PlainImplicit and ClassifiedImplicit are the only constructors
+// of G == nil, and both attach one), otherwise the digraph's in-neighbor
+// CSR. The WithMaxMemory guard rail demotes a scan whose CSR would exceed
+// the cap to the generator when that fits, and fails it with
+// ErrMemoryBudget when nothing does.
+func pickScanSource(net *Network, nsrc int, cfg config) (ArcSource, error) {
+	if cfg.implicitScan && net.Gen == nil {
+		return nil, fmt.Errorf("systolic: broadcast-all on %s: %w: WithImplicitScan needs a generator-backed network",
+			net.Name, ErrBadParam)
 	}
+	useGen := cfg.implicitScan || net.Implicit()
 	if cfg.maxMemory > 0 {
 		genBytes, csrBytes := scanFootprint(net, nsrc, cfg)
 		need := csrBytes
 		if useGen {
 			need = genBytes
-		} else if csrBytes > cfg.maxMemory && hasGen && genBytes <= cfg.maxMemory {
-			// The CSR would blow the cap but the streaming kernel fits:
-			// fall back instead of failing.
+		} else if csrBytes > cfg.maxMemory && net.Gen != nil && genBytes <= cfg.maxMemory {
 			useGen, need = true, genBytes
 		}
 		if need > cfg.maxMemory {
-			return false, fmt.Errorf("systolic: broadcast-all on %s: %w (estimated working set ~%d bytes, cap %d)",
+			return nil, fmt.Errorf("systolic: broadcast-all on %s: %w (estimated working set ~%d bytes, cap %d)",
 				net.Name, ErrMemoryBudget, need, cfg.maxMemory)
 		}
 	}
-	return useGen, nil
+	if useGen {
+		return net.Gen, nil
+	}
+	return graph.NewDigraphSource(net.G), nil
 }
 
-// scanFootprint estimates the working bytes of the generator and CSR
-// kernels for this scan: per-worker frontier state plus, for the CSR, the
-// shared lowering (4-byte indptr per vertex, 4-byte source per arc). The
-// estimates are deliberately coarse — they gate WithMaxMemory, they do not
-// meter an allocator.
+// scanFootprint estimates the working bytes of a scan over the generator
+// and over the digraph's CSR: per-worker packed frontier state (two 8-byte
+// knowledge words per vertex) plus, for the CSR, the shared lowering
+// (4-byte indptr per vertex, 4-byte source per arc). The estimates are
+// deliberately coarse — they gate WithMaxMemory, they do not meter an
+// allocator.
 func scanFootprint(net *Network, nsrc int, cfg config) (genBytes, csrBytes int64) {
 	n := int64(net.N())
-	frontier := 16 * n // packed: two 8-byte knowledge words per vertex
-	if cfg.scalarScan {
-		frontier = n / 2 // two bitsets plus slack
-	}
-	workers := int64(cfg.workers)
-	if batches := int64(nsrc+gossip.PackedLanes-1) / int64(gossip.PackedLanes); workers > batches {
-		workers = batches
-	}
-	genBytes = workers * frontier
-	csrBytes = workers*frontier + 4*(n+1)
+	batches := int64(nsrc+gossip.PackedLanes-1) / int64(gossip.PackedLanes)
+	genBytes = min(int64(cfg.workers), batches) * 16 * n
+	csrBytes = genBytes + 4*(n+1)
 	if net.G != nil {
 		csrBytes += 4 * int64(net.G.M())
 	}
@@ -363,172 +335,57 @@ func (r *BroadcastAllReport) summarize(net *Network, sources []int) {
 	}
 }
 
-// The scan error constructors are shared by both kernels, so the packed
-// engine is pinned error-equal — not just errors.Is-equal — to the scalar
-// reference.
-
-func errScanCtx(net *Network, err error) error {
-	return fmt.Errorf("systolic: broadcast-all on %s: %w", net.Name, err)
+// floodScan is one packed flooding scan: the sources to measure, in scan
+// order, flooded over one arc source. rounds[i] receives the broadcast
+// time from sources[i]; op names the entry point in errors, so
+// AnalyzeBroadcastAll ("broadcast-all") and the implicit CertifyBroadcast
+// ("certify broadcast") share the driver and keep their own messages.
+type floodScan struct {
+	net     *Network
+	src     ArcSource
+	op      string
+	sources []int
+	rounds  []int
+	cfg     config
 }
 
-func errScanIncomplete(net *Network, source, budget int) error {
-	return fmt.Errorf("systolic: broadcast-all on %s from %d: %w (budget %d)",
-		net.Name, source, ErrIncomplete, budget)
+// The scan error constructors are shared with the scalar reference scan
+// the tests hold the packed driver to, so the two are pinned error-equal,
+// not just errors.Is-equal.
+
+func (sc *floodScan) errCtx(err error) error {
+	return fmt.Errorf("systolic: %s on %s: %w", sc.op, sc.net.Name, err)
 }
 
-func errScanUnreachable(net *Network, source, rounds int) error {
+func (sc *floodScan) errIncomplete(source int) error {
+	return fmt.Errorf("systolic: %s on %s from %d: %w (budget %d)",
+		sc.op, sc.net.Name, source, ErrIncomplete, sc.cfg.budget)
+}
+
+func (sc *floodScan) errUnreachable(source, rounds int) error {
 	// Raising the budget cannot help a stalled frontier, so this is
 	// deliberately not ErrIncomplete.
-	return fmt.Errorf("%w: broadcast-all on %s from source %d (frontier stalled after %d rounds)",
-		ErrUnreachable, net.Name, source, rounds)
+	return fmt.Errorf("%w: %s on %s from source %d (frontier stalled after %d rounds)",
+		ErrUnreachable, sc.op, sc.net.Name, source, rounds)
 }
 
-// scalarScan is the per-source reference kernel: one 1-bit frontier,
-// reset in place per source, stepped over the flooding round. It defines
-// the scan's semantics; the packed kernel must match it byte for byte.
-// The step closure hides the arc representation — walking the lowered
-// round or streaming a generator — so both produce identical reports.
-func scalarScan(ctx context.Context, net *Network, step func(*gossip.FrontierState) int, sources, rounds []int, cfg config) error {
-	n := net.N()
-	fr := gossip.NewFrontierState(n, 0)
-	so, _ := cfg.observer.(ScanObserver)
-	batchCols := 0 // informed columns of the current batch's finished lanes
-	for i, src := range sources {
-		if err := ctx.Err(); err != nil {
-			return errScanCtx(net, err)
-		}
-		batch, lane := i/gossip.PackedLanes, i%gossip.PackedLanes
-		if lane == 0 {
-			batchCols = 0
-		}
-		lanes := len(sources) - batch*gossip.PackedLanes
-		if lanes > gossip.PackedLanes {
-			lanes = gossip.PackedLanes
-		}
-		fr.Reset(src)
-		r := 0
-		for !fr.Complete() {
-			if r >= cfg.budget {
-				return errScanIncomplete(net, src, cfg.budget)
-			}
-			if step(fr) == 0 {
-				return errScanUnreachable(net, src, r)
-			}
-			r++
-			if cfg.observer != nil {
-				// Untouched lanes contribute their informed source; the
-				// column total matches the packed kernel's when the batch
-				// finishes.
-				cols := batchCols + fr.InformedCount() + (lanes - lane - 1)
-				if so != nil {
-					so.ScanRound(batch, r, cols, lanes*n)
-				} else {
-					cfg.observer.Round(r, cols, lanes*n)
-				}
-			}
-		}
-		rounds[i] = r
-		batchCols += fr.InformedCount()
+// run floods the sources in ⌈sources/64⌉ batches. Batches are independent
+// and claimed in scan order by up to WithWorkers workers, each with its
+// own frontier, so reports are byte-identical for every worker count. A
+// single batch on a network past the shard threshold — the shape of huge
+// implicit scans and of single-source certification — instead splits
+// every round into vertex ranges across the workers.
+func (sc *floodScan) run(ctx context.Context) error {
+	n := sc.net.N()
+	batches := (len(sc.sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
+	if batches == 1 && sc.cfg.workers > 1 && n >= sc.cfg.shardThreshold {
+		return sc.batch(ctx, newFloodStepper(sc.src, n, sc.cfg.workers), 0)
 	}
-	return nil
-}
-
-// packedScan is the bit-parallel kernel: ⌈sources/64⌉ batches, each
-// stepped through the lowered flooding schedule with 64 sources per pass,
-// sharded across the worker pool (batches are independent, so reports are
-// byte-identical for every worker count).
-func packedScan(ctx context.Context, net *Network, flood *graph.FloodCSR, sources, rounds []int, cfg config) error {
-	step := func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFlood(flood) }
-	return packedBatches(ctx, net, func(int) packedStep { return step }, sources, rounds, cfg)
-}
-
-// packedScanGen is the streaming counterpart of packedScan: the same batch
-// bookkeeping with arcs computed on the fly from the network's generator.
-// Multi-batch scans parallelize across batches exactly like packedScan,
-// each worker owning a fixed FloodGen scratch; a single-batch scan on a
-// large network — the shape of huge implicit scans, where all 64 lanes fit
-// one word — instead shards each step by vertex range across the pool
-// (StepFloodGenRange over disjoint ranges, folded, then one CommitStep).
-func packedScanGen(ctx context.Context, net *Network, sources, rounds []int, cfg config) error {
-	batches := (len(sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	if batches == 1 && cfg.workers > 1 && net.N() >= cfg.shardThreshold {
-		pf := gossip.NewPackedFrontier(net.N())
-		return packedBatch(ctx, net, shardedGenStep(net.Gen, net.N(), cfg.workers), pf, sources, rounds, 0, cfg)
-	}
-	return packedBatches(ctx, net, func(int) packedStep {
-		fg := graph.NewFloodGen(net.Gen)
-		return func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFloodGen(fg) }
-	}, sources, rounds, cfg)
-}
-
-// packedStep advances a packed frontier one flooding round, whatever the
-// arc representation, returning the kernel triple (complete, changed,
-// informed) masked to the batch's active lanes.
-type packedStep func(*gossip.PackedFrontier) (uint64, uint64, int)
-
-// shardedGenStep builds a packedStep that splits [0, n) into chunk-aligned
-// vertex ranges, steps them concurrently — one FloodGen scratch per shard,
-// ranges disjoint so the contract of StepFloodGenRange holds — folds the
-// raw shard triples and commits the round once.
-func shardedGenStep(gen ArcSource, n, workers int) packedStep {
-	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
-	shards := workers
-	if shards > chunks {
-		shards = chunks
-	}
-	cuts := make([]int, shards+1)
-	for i := 1; i < shards; i++ {
-		cuts[i] = chunks * i / shards * graph.GenChunkVerts
-	}
-	cuts[shards] = n
-	fgs := make([]*graph.FloodGen, shards)
-	for i := range fgs {
-		fgs[i] = graph.NewFloodGen(gen)
-	}
-	type shardRes struct {
-		and, changed uint64
-		informed     int
-		_            [5]uint64 // keep shard results off each other's cache line
-	}
-	results := make([]shardRes, shards)
-	return func(pf *gossip.PackedFrontier) (uint64, uint64, int) {
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				and, changed, informed := pf.StepFloodGenRange(fgs[i], cuts[i], cuts[i+1])
-				results[i] = shardRes{and: and, changed: changed, informed: informed}
-			}(i)
-		}
-		wg.Wait()
-		and, changed, informed := ^uint64(0), uint64(0), 0
-		for i := range results {
-			and &= results[i].and
-			changed |= results[i].changed
-			informed += results[i].informed
-		}
-		pf.CommitStep()
-		full := pf.Full()
-		return and & full, changed & full, informed
-	}
-}
-
-// packedBatches drives the batch pool shared by the CSR and generator
-// packed kernels: batches are independent, claimed in scan order, and each
-// worker builds its step (and any scratch it closes over) once. Reports
-// are byte-identical for every worker count.
-func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) packedStep, sources, rounds []int, cfg config) error {
-	batches := (len(sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	workers := cfg.workers
-	if workers > batches {
-		workers = batches
-	}
+	workers := min(sc.cfg.workers, batches)
 	if workers <= 1 {
-		pf := gossip.NewPackedFrontier(net.N())
-		step := mkStep(0)
-		for b := 0; b < batches; b++ {
-			if err := packedBatch(ctx, net, step, pf, sources, rounds, b, cfg); err != nil {
+		st := newFloodStepper(sc.src, n, 1)
+		for b := range batches {
+			if err := sc.batch(ctx, st, b); err != nil {
 				return err
 			}
 		}
@@ -537,12 +394,11 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 	errs := make([]error, batches)
 	var next, failed atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			pf := gossip.NewPackedFrontier(net.N())
-			step := mkStep(w)
+			st := newFloodStepper(sc.src, n, 1)
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= batches {
@@ -554,11 +410,11 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 				if failed.Load() != 0 {
 					return
 				}
-				if errs[b] = packedBatch(ctx, net, step, pf, sources, rounds, b, cfg); errs[b] != nil {
+				if errs[b] = sc.batch(ctx, st, b); errs[b] != nil {
 					failed.Store(1)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -569,54 +425,51 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 	return nil
 }
 
-// packedBatch steps one batch of up to 64 sources to per-lane completion,
-// stall, or the round budget, reproducing the scalar kernel's per-source
-// outcomes exactly: a lane completing within the budget records its round,
-// and the first failing lane (in scan order) aborts with the same error
-// the scalar scan would have produced for that source.
-func packedBatch(ctx context.Context, net *Network, step packedStep, pf *gossip.PackedFrontier, sources, rounds []int, b int, cfg config) error {
-	n := net.N()
+// batch steps batch b of up to 64 sources to per-lane completion, stall,
+// or the round budget, reproducing the per-source outcomes of flooding
+// each source alone: a lane completing within the budget records its
+// round, and the first failing lane (in scan order) aborts with the error
+// a one-source scan of it would have produced.
+func (sc *floodScan) batch(ctx context.Context, st *floodStepper, b int) error {
+	n := sc.net.N()
 	lo := b * gossip.PackedLanes
-	hi := lo + gossip.PackedLanes
-	if hi > len(sources) {
-		hi = len(sources)
-	}
-	batch := sources[lo:hi]
+	hi := min(lo+gossip.PackedLanes, len(sc.sources))
+	batch := sc.sources[lo:hi]
 	if n == 1 {
 		// Already complete at round 0; the step loop only observes
 		// completion after a round.
-		for i := range batch {
-			rounds[lo+i] = 0
-		}
+		clear(sc.rounds[lo:hi])
 		return nil
 	}
+	pf := &st.pf
 	pf.Reset(batch)
-	so, _ := cfg.observer.(ScanObserver)
+	obs := sc.cfg.observer
+	so, _ := obs.(ScanObserver)
 	var done, stalled uint64
 	var stallRound [gossip.PackedLanes]int
 	remaining := pf.Full()
-	for r := 1; remaining != 0 && r <= cfg.budget; r++ {
+	for r := 1; remaining != 0 && r <= sc.cfg.budget; r++ {
 		if err := ctx.Err(); err != nil {
-			return errScanCtx(net, err)
+			return sc.errCtx(err)
 		}
-		complete, changed, informed := step(pf)
+		complete, changed, informed := st.step()
 		for m := complete &^ done; m != 0; m &= m - 1 {
-			rounds[lo+bits.TrailingZeros64(m)] = r
+			sc.rounds[lo+bits.TrailingZeros64(m)] = r
 		}
 		done |= complete
 		newlyStalled := remaining &^ (changed | complete)
 		for m := newlyStalled; m != 0; m &= m - 1 {
-			// The stalling step gained nothing, so the scalar kernel
-			// reports one fewer productive round.
+			// The stalling step gained nothing, so the lane's last
+			// productive round is the one before.
 			stallRound[bits.TrailingZeros64(m)] = r - 1
 		}
 		stalled |= newlyStalled
 		remaining &^= complete | newlyStalled
-		if cfg.observer != nil {
+		if obs != nil {
 			if so != nil {
 				so.ScanRound(b, r, informed, pf.Lanes()*n)
 			} else {
-				cfg.observer.Round(r, informed, pf.Lanes()*n)
+				obs.Round(r, informed, pf.Lanes()*n)
 			}
 		}
 	}
@@ -625,12 +478,112 @@ func packedBatch(ctx context.Context, net *Network, step packedStep, pf *gossip.
 		switch {
 		case done&bit != 0:
 		case stalled&bit != 0:
-			return errScanUnreachable(net, batch[i], stallRound[i])
+			return sc.errUnreachable(batch[i], stallRound[i])
 		default:
-			return errScanIncomplete(net, batch[i], cfg.budget)
+			return sc.errIncomplete(batch[i])
 		}
 	}
 	return nil
+}
+
+// floodStepper steps one packed frontier over an arc source, each round
+// split into chunk-aligned vertex ranges, one per shard. Shard 0 runs on
+// the calling goroutine and the others on the flood workers, so a round
+// costs one channel handoff per extra shard and allocates nothing.
+type floodStepper struct {
+	pf     gossip.PackedFrontier
+	shards []floodShard
+	round  sync.WaitGroup // the current round's shards past 0
+}
+
+// floodShard is one vertex range of a round and its raw round results
+// (masked only after the fold).
+type floodShard struct {
+	fg           *graph.FloodGen
+	lo, hi       int
+	and, changed uint64
+	informed     int
+	_            [4]uint64 // keep shard results off each other's cache line
+}
+
+// newFloodStepper returns a stepper over src for an n-vertex network with
+// up to shards vertex ranges (never more than there are chunks).
+func newFloodStepper(src ArcSource, n, shards int) *floodStepper {
+	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
+	k := max(1, min(shards, chunks))
+	st := &floodStepper{pf: *gossip.NewPackedFrontier(n), shards: make([]floodShard, k)}
+	fg := graph.NewFloodGen(src)
+	for i := range st.shards {
+		if i > 0 && fg.ArcBuf() != nil {
+			fg = graph.NewFloodGen(src) // arc scratch is per shard
+		}
+		sh := &st.shards[i]
+		sh.fg = fg
+		sh.lo = chunks * i / k * graph.GenChunkVerts
+		sh.hi = min(chunks*(i+1)/k*graph.GenChunkVerts, n)
+	}
+	startFloodWorkers(k - 1)
+	return st
+}
+
+func (sh *floodShard) run(pf *gossip.PackedFrontier) {
+	sh.and, sh.changed, sh.informed = pf.StepFloodGenRange(sh.fg, sh.lo, sh.hi)
+}
+
+// step advances the frontier one flooding round, returning the kernel
+// triple (complete, changed, informed) masked to the batch's active lanes.
+//
+//gossip:hotpath
+func (st *floodStepper) step() (complete, changed uint64, informed int) {
+	st.round.Add(len(st.shards) - 1)
+	for i := 1; i < len(st.shards); i++ {
+		floodJobs <- floodJob{st, i}
+	}
+	st.shards[0].run(&st.pf)
+	st.round.Wait()
+	and := ^uint64(0)
+	for i := range st.shards {
+		sh := &st.shards[i]
+		and &= sh.and
+		changed |= sh.changed
+		informed += sh.informed
+	}
+	st.pf.CommitStep()
+	full := st.pf.Full()
+	return and & full, changed & full, informed
+}
+
+// floodJob is one shard of one stepper's current round.
+type floodJob struct {
+	st *floodStepper
+	i  int
+}
+
+// The flood workers run the shards past 0 of every sharded round in the
+// process: a fixed set of goroutines, grown on demand to the widest
+// stepper so far and then parked on floodJobs for the life of the process.
+// Starting goroutines per scan instead would make a scan's allocation
+// count depend on the scheduler (the runtime reuses an exited goroutine's
+// descriptor only from the free list of the processor it exited on). A
+// job never blocks, so steppers sharing the workers always make progress.
+var (
+	floodJobs        = make(chan floodJob)
+	floodWorkersMu   sync.Mutex
+	floodWorkerCount int
+)
+
+// startFloodWorkers makes sure at least n flood workers are running.
+func startFloodWorkers(n int) {
+	floodWorkersMu.Lock()
+	defer floodWorkersMu.Unlock()
+	for ; floodWorkerCount < n; floodWorkerCount++ {
+		go func() {
+			for job := range floodJobs {
+				job.st.shards[job.i].run(&job.st.pf)
+				job.st.round.Done()
+			}
+		}()
+	}
 }
 
 // String renders the report.

@@ -3,21 +3,37 @@ package systolic
 import (
 	"context"
 	"testing"
+
+	"repro/internal/graph"
 )
 
-// The broadcast-scan benchmarks compare the bit-parallel packed kernel
-// against the scalar per-source reference on the acceptance workloads:
-// a full hypercube d=12 scan (4096 sources, 64 batches) and a 64-source
-// subset of hypercube d=16 (65536 vertices, one batch). Workers are pinned
-// at 4 so the allocation counts the CI gate pins do not depend on the
-// benchmark machine's GOMAXPROCS.
+// The broadcast-scan benchmarks compare the bit-parallel packed scan
+// against the scalar per-source oracle on the acceptance workloads: a full
+// hypercube d=12 scan (4096 sources, 64 batches) and a 64-source subset of
+// hypercube d=16 (65536 vertices, one batch, vertex-sharded). Workers are
+// pinned at 4 so the allocation counts the CI gate pins do not depend on
+// the benchmark machine's GOMAXPROCS.
 //
-// The *Gen variants force the same scans through the streaming generator
-// kernel (WithImplicitScan) on the same materialized networks, pinning the
-// price of computing arcs on the fly instead of walking the CSR — the
+// The *Gen variants force the same scans over the hypercube generator
+// (WithImplicitScan) on the same materialized networks, pinning the price
+// of computing arcs on the fly instead of walking the digraph's CSR — the
 // acceptance bound is packed gen within 1.3x of packed CSR at d=12.
 
-func benchScan(b *testing.B, dim int, sources []int, opts ...Option) {
+// scanFunc is AnalyzeBroadcastAll or one of the oracle scans below.
+type scanFunc func(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error)
+
+// scalarCSR is the oracle over the digraph's CSR, built per scan as
+// AnalyzeBroadcastAll builds it.
+func scalarCSR(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error) {
+	return analyzeBroadcastAllScalar(ctx, net, graph.NewDigraphSource(net.G), opts...)
+}
+
+// scalarGen is the oracle over the network's generator.
+func scalarGen(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error) {
+	return analyzeBroadcastAllScalar(ctx, net, net.Gen, opts...)
+}
+
+func benchScan(b *testing.B, scan scanFunc, dim int, sources []int, opts ...Option) {
 	b.Helper()
 	net, err := New("hypercube", Dimension(dim))
 	if err != nil {
@@ -28,7 +44,7 @@ func benchScan(b *testing.B, dim int, sources []int, opts ...Option) {
 		opts = append(opts, WithSources(sources))
 	}
 	ctx := context.Background()
-	rep, err := AnalyzeBroadcastAll(ctx, net, opts...)
+	rep, err := scan(ctx, net, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +54,7 @@ func benchScan(b *testing.B, dim int, sources []int, opts ...Option) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeBroadcastAll(ctx, net, opts...); err != nil {
+		if _, err := scan(ctx, net, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,22 +69,22 @@ func subset64(n int) []int {
 	return sources
 }
 
-func BenchmarkBroadcastAllPacked(b *testing.B) { benchScan(b, 12, nil) }
+func BenchmarkBroadcastAllPacked(b *testing.B) { benchScan(b, AnalyzeBroadcastAll, 12, nil) }
 
-func BenchmarkBroadcastAllScalar(b *testing.B) { benchScan(b, 12, nil, WithScalarScan()) }
+func BenchmarkBroadcastAllScalar(b *testing.B) { benchScan(b, scalarCSR, 12, nil) }
 
-func BenchmarkBroadcastAllPackedD16(b *testing.B) { benchScan(b, 16, subset64(1<<16)) }
-
-func BenchmarkBroadcastAllScalarD16(b *testing.B) {
-	benchScan(b, 16, subset64(1<<16), WithScalarScan())
+func BenchmarkBroadcastAllPackedD16(b *testing.B) {
+	benchScan(b, AnalyzeBroadcastAll, 16, subset64(1<<16))
 }
 
-func BenchmarkBroadcastAllPackedGen(b *testing.B) { benchScan(b, 12, nil, WithImplicitScan()) }
+func BenchmarkBroadcastAllScalarD16(b *testing.B) { benchScan(b, scalarCSR, 16, subset64(1<<16)) }
 
-func BenchmarkBroadcastAllScalarGen(b *testing.B) {
-	benchScan(b, 12, nil, WithScalarScan(), WithImplicitScan())
+func BenchmarkBroadcastAllPackedGen(b *testing.B) {
+	benchScan(b, AnalyzeBroadcastAll, 12, nil, WithImplicitScan())
 }
+
+func BenchmarkBroadcastAllScalarGen(b *testing.B) { benchScan(b, scalarGen, 12, nil) }
 
 func BenchmarkBroadcastAllPackedGenD16(b *testing.B) {
-	benchScan(b, 16, subset64(1<<16), WithImplicitScan())
+	benchScan(b, AnalyzeBroadcastAll, 16, subset64(1<<16), WithImplicitScan())
 }

@@ -1,8 +1,8 @@
 // Differential coverage for the sources-aware broadcast scan: the packed
-// 64-source kernel must reproduce the scalar per-source reference exactly
+// 64-source driver must reproduce the scalar per-source oracle exactly
 // — same reports, same errors, same trace — on every registered topology
-// kind, on ragged multi-batch scans, on subsets, and for every worker
-// count.
+// kind, over both arc sources, on ragged multi-batch scans, on subsets,
+// and for every worker count.
 package systolic
 
 import (
@@ -17,30 +17,50 @@ import (
 	"repro/internal/graph"
 )
 
-// scanBoth runs AnalyzeBroadcastAll under both kernels with identical
-// options and demands deep-equal reports (or identical failures).
+// scanBoth runs the scalar oracle and AnalyzeBroadcastAll with opts over
+// both arc sources — the digraph's CSR and, when the network carries one,
+// its generator — serially, on the batch pool and single-batch
+// vertex-sharded, and demands every report deep-equal the oracle's (or
+// every failure carry its exact error text). It returns the oracle's
+// report, nil on failure.
 func scanBoth(t *testing.T, net *Network, opts ...Option) *BroadcastAllReport {
 	t.Helper()
 	ctx := context.Background()
-	packed, perr := AnalyzeBroadcastAll(ctx, net, opts...)
-	scalar, serr := AnalyzeBroadcastAll(ctx, net, append(opts, WithScalarScan())...)
-	if (perr == nil) != (serr == nil) {
-		t.Fatalf("kernel disagreement on %s: packed err %v, scalar err %v", net.Name, perr, serr)
+	want, werr := analyzeBroadcastAllScalar(ctx, net, oracleSource(net), opts...)
+	arcSources := []Option{func(*config) {}}
+	if net.Gen != nil {
+		arcSources = append(arcSources, WithImplicitScan())
 	}
-	if perr != nil {
-		if perr.Error() != serr.Error() {
-			t.Fatalf("error parity broken on %s:\n  packed: %v\n  scalar: %v", net.Name, perr, serr)
+	modes := [][]Option{
+		{WithWorkers(1)},
+		{WithWorkers(4)},
+		{WithWorkers(4), WithShardThreshold(1)},
+	}
+	for si, src := range arcSources {
+		for mi, mode := range modes {
+			// Caller options come last, so an explicit WithWorkers wins.
+			all := append(append(append([]Option(nil), mode...), src), opts...)
+			got, err := AnalyzeBroadcastAll(ctx, net, all...)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%s source %d mode %d: packed err %v, oracle err %v", net.Name, si, mi, err, werr)
+			}
+			if err != nil {
+				if err.Error() != werr.Error() {
+					t.Fatalf("%s source %d mode %d: error parity broken:\n  packed: %v\n  oracle: %v", net.Name, si, mi, err, werr)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s source %d mode %d: packed scan diverges from the oracle:\n  packed: %+v\n  oracle: %+v",
+					net.Name, si, mi, got, want)
+			}
 		}
-		return nil
 	}
-	if !reflect.DeepEqual(packed, scalar) {
-		t.Fatalf("kernel disagreement on %s:\n  packed: %+v\n  scalar: %+v", net.Name, packed, scalar)
-	}
-	return packed
+	return want
 }
 
 // TestBroadcastScanDifferentialAllKinds: for every registered kind the
-// packed scan equals the scalar reference — full scans and a small subset
+// packed scan equals the scalar oracle — full scans and a small subset
 // — and every measured round count is the source's directed eccentricity.
 func TestBroadcastScanDifferentialAllKinds(t *testing.T) {
 	for _, kind := range Kinds() {
@@ -83,7 +103,7 @@ func TestBroadcastScanDifferentialAllKinds(t *testing.T) {
 }
 
 // TestBroadcastScanMultiBatchRagged: scans spanning several packed batches
-// with a ragged final batch (sources % 64 != 0) stay kernel- and
+// with a ragged final batch (sources % 64 != 0) stay arc-source- and
 // worker-count-independent.
 func TestBroadcastScanMultiBatchRagged(t *testing.T) {
 	net, err := New("cycle", Nodes(150)) // 3 batches: 64 + 64 + 22
@@ -150,7 +170,7 @@ func TestBroadcastScanSubsetEqualsFull(t *testing.T) {
 }
 
 // TestBroadcastScanBadSources: WithSources validation fails with
-// ErrBadParam before either kernel runs.
+// ErrBadParam before any flooding runs.
 func TestBroadcastScanBadSources(t *testing.T) {
 	net, err := New("cycle", Nodes(5))
 	if err != nil {
@@ -163,18 +183,17 @@ func TestBroadcastScanBadSources(t *testing.T) {
 		"out-of-range": {5},
 		"duplicate":    {1, 3, 1},
 	} {
-		for _, kernel := range []Option{func(*config) {}, WithScalarScan()} {
-			if _, err := AnalyzeBroadcastAll(ctx, net, WithSources(sources), kernel); !errors.Is(err, ErrBadParam) {
-				t.Errorf("%s sources: err = %v, want ErrBadParam", name, err)
-			}
+		if _, err := AnalyzeBroadcastAll(ctx, net, WithSources(sources)); !errors.Is(err, ErrBadParam) {
+			t.Errorf("%s sources: err = %v, want ErrBadParam", name, err)
 		}
+		scanBoth(t, net, WithSources(sources))
 	}
 }
 
-// TestBroadcastScanErrorParity pins both kernels to the exact same error
-// text — not merely the same sentinel — for budget truncation and for a
-// stalled (unreachable) frontier, including the productive-round count the
-// unreachable message carries.
+// TestBroadcastScanErrorParity pins the packed driver to the oracle's
+// exact error text — not merely the same sentinel — for budget truncation
+// and for a stalled (unreachable) frontier, including the productive-round
+// count the unreachable message carries.
 func TestBroadcastScanErrorParity(t *testing.T) {
 	ctx := context.Background()
 
@@ -182,11 +201,8 @@ func TestBroadcastScanErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scanBoth(t, path, WithRoundBudget(2))
 	_, perr := AnalyzeBroadcastAll(ctx, path, WithRoundBudget(2))
-	_, serr := AnalyzeBroadcastAll(ctx, path, WithRoundBudget(2), WithScalarScan())
-	if perr == nil || serr == nil || perr.Error() != serr.Error() {
-		t.Fatalf("truncated-scan parity:\n  packed: %v\n  scalar: %v", perr, serr)
-	}
 	if !errors.Is(perr, ErrIncomplete) {
 		t.Fatalf("truncated scan: err = %v, want ErrIncomplete", perr)
 	}
@@ -197,11 +213,8 @@ func TestBroadcastScanErrorParity(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	oneway := Plain("one-way-path", g)
+	scanBoth(t, oneway)
 	_, perr = AnalyzeBroadcastAll(ctx, oneway)
-	_, serr = AnalyzeBroadcastAll(ctx, oneway, WithScalarScan())
-	if perr == nil || serr == nil || perr.Error() != serr.Error() {
-		t.Fatalf("unreachable-scan parity:\n  packed: %v\n  scalar: %v", perr, serr)
-	}
 	if !errors.Is(perr, ErrUnreachable) || errors.Is(perr, ErrIncomplete) {
 		t.Fatalf("stalled scan: err = %v, want ErrUnreachable and not ErrIncomplete", perr)
 	}
@@ -232,73 +245,55 @@ func (tr *scanTrace) ScanRound(batch, round, cols, total int) {
 	tr.mu.Unlock()
 }
 
-// TestBroadcastScanTraceSeam: a ScanObserver sees per-batch progress from
-// both kernels — monotone informed columns per batch, each batch ending at
-// lanes × n columns — and the packed kernel emits each (batch, round)
-// exactly once. A plain Observer still receives Round calls.
+// TestBroadcastScanTraceSeam: a ScanObserver sees per-batch progress —
+// each (batch, round) exactly once, with monotone informed columns per
+// batch and each batch ending at lanes × n columns. A plain Observer still
+// receives Round calls.
 func TestBroadcastScanTraceSeam(t *testing.T) {
 	net, err := New("hypercube", Dimension(7)) // 128 vertices: two full batches
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := net.G.N()
-	for _, kernel := range []struct {
-		name string
-		opt  Option
-	}{
-		{"packed", func(*config) {}},
-		{"scalar", WithScalarScan()},
-	} {
-		t.Run(kernel.name, func(t *testing.T) {
-			tr := &scanTrace{}
-			if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(tr), WithWorkers(2), kernel.opt); err != nil {
-				t.Fatal(err)
-			}
-			if tr.rounds != 0 {
-				t.Fatalf("ScanObserver also received %d plain Round calls", tr.rounds)
-			}
-			perBatch := map[int][]scanEvent{}
-			for _, ev := range tr.events {
-				perBatch[ev.batch] = append(perBatch[ev.batch], ev)
-			}
-			if len(perBatch) != 2 {
-				t.Fatalf("saw batches %v, want exactly {0, 1}", perBatch)
-			}
-			for batch, evs := range perBatch {
-				sort.Slice(evs, func(i, j int) bool {
-					if evs[i].round != evs[j].round {
-						return evs[i].round < evs[j].round
-					}
-					return evs[i].cols < evs[j].cols
-				})
-				last := evs[len(evs)-1]
-				if last.total != gossip.PackedLanes*n || last.cols != last.total {
-					t.Fatalf("batch %d ends at %d/%d columns, want %d/%d",
-						batch, last.cols, last.total, gossip.PackedLanes*n, gossip.PackedLanes*n)
-				}
-				if kernel.name == "packed" {
-					prev := scanEvent{round: 0, cols: gossip.PackedLanes} // sources start informed
-					for _, ev := range evs {
-						if ev.round != prev.round+1 || ev.cols < prev.cols {
-							t.Fatalf("batch %d: packed trace not a monotone once-per-round stream: %v after %v", batch, ev, prev)
-						}
-						prev = ev
-					}
-				}
-			}
-		})
-	}
-
-	// Plain observers get the Round fallback from both kernels.
-	for _, opt := range []Option{func(*config) {}, WithScalarScan()} {
-		calls := 0
-		obs := ObserverFunc(func(round, knowledge, target int) { calls++ })
-		if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(obs), WithWorkers(1), opt); err != nil {
+	t.Run("packed", func(t *testing.T) {
+		tr := &scanTrace{}
+		if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(tr), WithWorkers(2)); err != nil {
 			t.Fatal(err)
 		}
-		if calls == 0 {
-			t.Fatal("plain Observer received no Round calls from a scan")
+		if tr.rounds != 0 {
+			t.Fatalf("ScanObserver also received %d plain Round calls", tr.rounds)
 		}
+		perBatch := map[int][]scanEvent{}
+		for _, ev := range tr.events {
+			perBatch[ev.batch] = append(perBatch[ev.batch], ev)
+		}
+		if len(perBatch) != 2 {
+			t.Fatalf("saw batches %v, want exactly {0, 1}", perBatch)
+		}
+		for batch, evs := range perBatch {
+			sort.Slice(evs, func(i, j int) bool { return evs[i].round < evs[j].round })
+			last := evs[len(evs)-1]
+			if last.total != gossip.PackedLanes*n || last.cols != last.total {
+				t.Fatalf("batch %d ends at %d/%d columns, want %d/%d",
+					batch, last.cols, last.total, gossip.PackedLanes*n, gossip.PackedLanes*n)
+			}
+			prev := scanEvent{round: 0, cols: gossip.PackedLanes} // sources start informed
+			for _, ev := range evs {
+				if ev.round != prev.round+1 || ev.cols < prev.cols {
+					t.Fatalf("batch %d: trace not a monotone once-per-round stream: %v after %v", batch, ev, prev)
+				}
+				prev = ev
+			}
+		}
+	})
+
+	calls := 0
+	obs := ObserverFunc(func(round, knowledge, target int) { calls++ })
+	if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(obs), WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("plain Observer received no Round calls from a scan")
 	}
 }
 
@@ -306,7 +301,7 @@ func TestBroadcastScanTraceSeam(t *testing.T) {
 // now evaluates in its summary pass: the c(d)·log₂n floor (its certified
 // finite-n part) is computed once, every source's measured rounds are
 // compared against it, and the report surfaces the extremes plus the first
-// violating source. Both kernels and the sharded path must agree.
+// violating source. The serial and pooled scans and the oracle must agree.
 func TestBroadcastAllBound(t *testing.T) {
 	ctx := context.Background()
 	// Hypercube d=5: every eccentricity is 5 = ⌈log₂ 32⌉, so the floor is
@@ -316,8 +311,12 @@ func TestBroadcastAllBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bounds []*BroadcastBound
-	for _, opts := range [][]Option{nil, {WithScalarScan()}, {WithWorkers(4)}} {
-		rep, err := AnalyzeBroadcastAll(ctx, net, opts...)
+	for _, scan := range []func() (*BroadcastAllReport, error){
+		func() (*BroadcastAllReport, error) { return AnalyzeBroadcastAll(ctx, net) },
+		func() (*BroadcastAllReport, error) { return AnalyzeBroadcastAll(ctx, net, WithWorkers(4)) },
+		func() (*BroadcastAllReport, error) { return analyzeBroadcastAllScalar(ctx, net, oracleSource(net)) },
+	} {
+		rep, err := scan()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +340,7 @@ func TestBroadcastAllBound(t *testing.T) {
 	}
 	for i, b := range bounds[1:] {
 		if *b != *bounds[0] {
-			t.Fatalf("kernel %d bound diverges: %+v vs %+v", i+1, b, bounds[0])
+			t.Fatalf("scan %d bound diverges: %+v vs %+v", i+1, b, bounds[0])
 		}
 	}
 
@@ -366,4 +365,82 @@ func TestBroadcastAllBound(t *testing.T) {
 	if b.MinRounds != 1 || b.MaxRounds != 1 || b.CBound != 4 {
 		t.Fatalf("complete-graph extremes %d..%d floor %d, want 1..1 floor 4", b.MinRounds, b.MaxRounds, b.CBound)
 	}
+}
+
+// TestFloodStepperAllocs: sharded rounds hand work to the parked flood
+// workers, so a round allocates nothing and a scan's allocation count is
+// fixed, whatever its round count: single-batch sharded scans of
+// hypercubes d=14 and d=15 (14 and 15 rounds, four shards each) allocate
+// the same, run after run.
+func TestFloodStepperAllocs(t *testing.T) {
+	net, err := New("hypercube", Dimension(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newFloodStepper(net.Gen, net.N(), 4)
+	if len(st.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(st.shards))
+	}
+	st.pf.Reset([]int{0, 5, 77})
+	if allocs := testing.AllocsPerRun(20, func() { st.step() }); allocs != 0 {
+		t.Fatalf("sharded round allocated %.1f times, want 0", allocs)
+	}
+
+	var counts []float64
+	for _, dim := range []int{14, 15, 14} {
+		net, err := New("hypercube", Dimension(dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithSources(subset64(net.N())), WithWorkers(4)}
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := AnalyzeBroadcastAll(context.Background(), net, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[0] != counts[2] {
+		t.Fatalf("scan allocations vary with the round count or between runs: %v", counts)
+	}
+}
+
+// TestFloodWorkersConcurrentScans: sharded scans running at once share
+// the flood workers and each still reports exactly what a serial scan
+// does.
+func TestFloodWorkersConcurrentScans(t *testing.T) {
+	ctx := context.Background()
+	var nets []*Network
+	for _, dim := range []int{13, 14} {
+		net, err := New("hypercube", Dimension(dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	want := make([]*BroadcastAllReport, len(nets))
+	for i, net := range nets {
+		rep, err := AnalyzeBroadcastAll(ctx, net, WithSources(subset64(net.N())), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep
+	}
+	var wg sync.WaitGroup
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := g % len(nets)
+			net := nets[i]
+			got, err := AnalyzeBroadcastAll(ctx, net, WithSources(subset64(net.N())), WithWorkers(2+g%3))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s: concurrent sharded scan diverges:\n  got:  %+v\n  want: %+v", net.Name, got, want[i])
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/delay"
-	"repro/internal/gossip"
-	"repro/internal/graph"
 )
 
 // DelayPlan is the compiled delay lowering of one protocol on one network:
@@ -283,10 +281,7 @@ func certifyBroadcastImplicit(ctx context.Context, net *Network, source int, opt
 	}
 	measured, complete, err := floodEccentricityGen(ctx, net, source, cfg)
 	if err != nil {
-		if errors.Is(err, ErrUnreachable) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("systolic: certify broadcast on %s: %w", net.Name, err)
+		return nil, err
 	}
 	// Flooding's completion time is the source eccentricity; on truncated
 	// runs no eccentricity is known and the floor stays at the
@@ -312,38 +307,21 @@ func certifyBroadcastImplicit(ctx context.Context, net *Network, source int, opt
 	}, nil
 }
 
-// floodEccentricityGen runs single-source generator flooding to completion,
-// stall, or the round budget: (rounds, true, nil) on completion — rounds is
-// the source's directed eccentricity — (budget, false, nil) on truncation,
-// and ErrUnreachable on a stalled frontier.
+// floodEccentricityGen floods from source alone over the generator, as a
+// one-source batch of the scan driver: (rounds, true, nil) on completion —
+// rounds is the source's directed eccentricity — (budget, false, nil) on
+// truncation, and ErrUnreachable on a stalled frontier.
 func floodEccentricityGen(ctx context.Context, net *Network, source int, cfg config) (int, bool, error) {
-	n := net.N()
-	if n == 1 {
-		return 0, true, nil
-	}
-	var step packedStep
-	if cfg.workers > 1 && n >= cfg.shardThreshold {
-		step = shardedGenStep(net.Gen, n, cfg.workers)
-	} else {
-		fg := graph.NewFloodGen(net.Gen)
-		step = func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFloodGen(fg) }
-	}
-	pf := gossip.NewPackedFrontier(n)
-	pf.Reset([]int{source})
-	for r := 1; r <= cfg.budget; r++ {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
+	var rounds [1]int
+	cfg.observer = nil // implicit certification reports no per-round progress
+	sc := floodScan{net: net, src: net.Gen, op: "certify broadcast", sources: []int{source}, rounds: rounds[:], cfg: cfg}
+	if err := sc.run(ctx); err != nil {
+		if errors.Is(err, ErrIncomplete) {
+			return cfg.budget, false, nil
 		}
-		complete, changed, _ := step(pf)
-		if complete != 0 {
-			return r, true, nil
-		}
-		if changed == 0 {
-			return 0, false, fmt.Errorf("%w: certify broadcast on %s from source %d (frontier stalled after %d rounds)",
-				ErrUnreachable, net.Name, source, r-1)
-		}
+		return 0, false, err
 	}
-	return cfg.budget, false, nil
+	return rounds[0], true, nil
 }
 
 // Certify runs the session to completion (or its budget) and certifies the

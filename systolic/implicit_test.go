@@ -1,9 +1,9 @@
-// Coverage for the generator-backed scan seam: the streaming kernels must
-// reproduce the CSR kernels exactly (reports, errors, traces) on every
-// generator-eligible kind, the registry must attach generators and switch
-// to implicit builds past the materialization threshold, and implicit
-// networks must stream scans and certifications while every
-// adjacency-walking entry point fails with ErrImplicit.
+// Coverage for the generator-backed scan seam: a scan over the generator
+// must reproduce the scan over the digraph exactly (reports, errors,
+// traces) on every generator-eligible kind, the registry must attach
+// generators and switch to implicit builds past the materialization
+// threshold, and implicit networks must stream scans and certifications
+// while every adjacency-walking entry point fails with ErrImplicit.
 package systolic
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // genEligibleNets instantiates one modest network per generator-eligible
 // registry kind. All come back materialized (below the threshold) with a
-// generator attached, so the CSR and streaming kernels can be compared on
+// generator attached, so scans over the CSR and the generator compare on
 // identical instances.
 func genEligibleNets(t *testing.T) []*Network {
 	t.Helper()
@@ -55,9 +55,10 @@ func genEligibleNets(t *testing.T) []*Network {
 }
 
 // TestGeneratorKernelsMatchCSR is the scan differential: on every
-// generator-eligible kind, the four kernels (CSR/generator × packed/scalar)
-// produce deep-equal full-scan reports, across worker counts (including
-// the single-batch vertex-sharded path, forced via WithShardThreshold).
+// generator-eligible kind, full scans over the generator — serial, pooled
+// and the scalar oracle — produce reports deep-equal to the serial scan
+// over the digraph's CSR, as does the single-batch vertex-sharded path
+// (forced via WithShardThreshold).
 func TestGeneratorKernelsMatchCSR(t *testing.T) {
 	ctx := context.Background()
 	for _, net := range genEligibleNets(t) {
@@ -67,15 +68,20 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 		}
 		variants := []struct {
 			name string
-			opts []Option
+			scan func() (*BroadcastAllReport, error)
 		}{
-			{"gen-packed-serial", []Option{WithImplicitScan(), WithWorkers(1)}},
-			{"gen-packed-parallel", []Option{WithImplicitScan(), WithWorkers(4)}},
-			{"gen-scalar", []Option{WithImplicitScan(), WithScalarScan()}},
-			{"gen-packed-subset-sharded", nil}, // filled below: single batch + vertex shards
+			{"gen-packed-serial", func() (*BroadcastAllReport, error) {
+				return AnalyzeBroadcastAll(ctx, net, WithImplicitScan(), WithWorkers(1))
+			}},
+			{"gen-packed-parallel", func() (*BroadcastAllReport, error) {
+				return AnalyzeBroadcastAll(ctx, net, WithImplicitScan(), WithWorkers(4))
+			}},
+			{"gen-scalar", func() (*BroadcastAllReport, error) {
+				return analyzeBroadcastAllScalar(ctx, net, net.Gen)
+			}},
 		}
-		for _, v := range variants[:3] {
-			got, err := AnalyzeBroadcastAll(ctx, net, v.opts...)
+		for _, v := range variants {
+			got, err := v.scan()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", net.Name, v.name, err)
 			}
@@ -109,7 +115,7 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 }
 
 // TestGeneratorTraceMatchesCSR pins the frontier trace: a ScanObserver sees
-// the identical ScanRound stream from the generator and CSR packed kernels
+// the identical ScanRound stream from scans over the generator and the CSR
 // (single worker, so the event order is deterministic).
 func TestGeneratorTraceMatchesCSR(t *testing.T) {
 	net, err := New("hypercube", Dimension(7)) // 128 vertices: two full batches
@@ -234,9 +240,9 @@ func TestImplicitScanNeedsGenerator(t *testing.T) {
 	}
 }
 
-// TestMaxMemoryGuardRail pins the WithMaxMemory kernel demotion: a cap the
-// CSR cannot fit falls back to the generator kernel (same report), and a
-// cap nothing fits fails with ErrMemoryBudget.
+// TestMaxMemoryGuardRail pins the WithMaxMemory source demotion: a cap the
+// CSR cannot fit falls back to the generator (same report), and a cap
+// nothing fits fails with ErrMemoryBudget.
 func TestMaxMemoryGuardRail(t *testing.T) {
 	net, err := New("hypercube", Dimension(8))
 	if err != nil {
@@ -247,18 +253,22 @@ func TestMaxMemoryGuardRail(t *testing.T) {
 	if genBytes >= csrBytes {
 		t.Fatalf("generator footprint %d should undercut CSR %d", genBytes, csrBytes)
 	}
-	// Kernel choice, directly: between the two footprints the picker must
+	// Source choice, directly: between the two footprints the picker must
 	// demote to the generator; below both it must refuse.
 	cfg.maxMemory = csrBytes - 1
-	useGen, err := pickScanKernel(net, net.N(), cfg)
-	if err != nil || !useGen {
-		t.Fatalf("cap %d: useGen=%v err=%v, want generator fallback", cfg.maxMemory, useGen, err)
+	src, err := pickScanSource(net, net.N(), cfg)
+	if err != nil || src != net.Gen {
+		t.Fatalf("cap %d: source %T err=%v, want generator fallback", cfg.maxMemory, src, err)
+	}
+	cfg.maxMemory = csrBytes
+	if src, err := pickScanSource(net, net.N(), cfg); err != nil || src == net.Gen {
+		t.Fatalf("cap %d: source %T err=%v, want the digraph's CSR", cfg.maxMemory, src, err)
 	}
 	cfg.maxMemory = genBytes - 1
-	if _, err := pickScanKernel(net, net.N(), cfg); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := pickScanSource(net, net.N(), cfg); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("cap %d: err = %v, want ErrMemoryBudget", cfg.maxMemory, err)
 	}
-	// End to end: the demoted scan still returns the CSR kernel's report.
+	// End to end: the demoted scan still returns the CSR scan's report.
 	ref, err := AnalyzeBroadcastAll(context.Background(), net)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +330,7 @@ func TestCertifyBroadcastImplicit(t *testing.T) {
 
 // TestImplicitScanUnreachable: a generator-backed digraph source that
 // cannot reach every vertex surfaces ErrUnreachable with the same error
-// text as the CSR kernel.
+// text as the scan over the digraph's CSR.
 func TestImplicitScanUnreachable(t *testing.T) {
 	g := newOneWayPairNetwork(t)
 	csr, csrErr := AnalyzeBroadcastAll(context.Background(), g)

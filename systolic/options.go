@@ -25,17 +25,16 @@ func (f ObserverFunc) Round(round, knowledge, target int) { f(round, knowledge, 
 
 // ScanObserver is the trace seam of multi-source broadcast scans. A plain
 // Observer cannot interpret AnalyzeBroadcastAll progress — its Round
-// carries no source identity, and a packed scan steps 64 sources per
-// round — so an observer that additionally implements ScanObserver
-// receives ScanRound instead of Round: the 0-based batch of up to 64
-// sources being stepped, the 1-based round within that batch, and the
-// batch's informed column count (the number of (vertex, source) pairs
-// already informed, out of totalColumns = active sources × n). Columns are
-// monotone within a batch and reach totalColumns when every source of the
-// batch completes; the packed kernel emits each (batch, round) once, while
-// the scalar reference kernel re-emits a batch's rounds as it advances the
-// batch lane by lane. Scans may step batches concurrently (WithWorkers),
-// so implementations must be safe for concurrent use.
+// carries no source identity, and a scan steps 64 sources per round — so
+// an observer that additionally implements ScanObserver receives
+// ScanRound instead of Round: the 0-based batch of up to 64 sources being
+// stepped, the 1-based round within that batch, and the batch's informed
+// column count (the number of (vertex, source) pairs already informed,
+// out of totalColumns = active sources × n). Each (batch, round) is
+// emitted once; columns are monotone within a batch and reach
+// totalColumns when every source of the batch completes. Scans may step
+// batches concurrently (WithWorkers), so implementations must be safe for
+// concurrent use.
 type ScanObserver interface {
 	Observer
 	ScanRound(batch, round, informedColumns, totalColumns int)
@@ -49,7 +48,6 @@ type config struct {
 	delayPlan      *DelayPlan
 	source         int
 	sources        []int
-	scalarScan     bool
 	implicitScan   bool
 	maxMemory      int64
 }
@@ -117,30 +115,23 @@ func WithSource(v int) Option { return func(c *config) { c.source = v } }
 // partition on.
 func WithSources(sources []int) Option { return func(c *config) { c.sources = sources } }
 
-// WithScalarScan forces AnalyzeBroadcastAll onto the per-source scalar
-// frontier kernel instead of the bit-parallel packed kernel — the
-// reference implementation the packed engine is differentially tested and
-// benchmarked against. Reports and errors are identical either way; only
-// the speed differs (the packed kernel steps 64 sources per pass).
-func WithScalarScan() Option { return func(c *config) { c.scalarScan = true } }
-
-// WithImplicitScan forces AnalyzeBroadcastAll onto the streaming
-// generator kernel even when the network is materialized (it needs an
-// attached generator — ErrBadParam otherwise). Reports and errors are
-// identical to the CSR kernels; only the footprint differs: the generator
-// path never lowers the flooding CSR, so its working memory is the
-// frontier buffers alone. Without this option the scan picks the
-// streaming kernel automatically for implicit networks, for materialized
-// networks above DefaultImplicitScanNodes, and when the CSR would not fit
-// WithMaxMemory.
+// WithImplicitScan forces AnalyzeBroadcastAll to flood over the network's
+// generator even when the network is materialized (it needs an attached
+// generator — ErrBadParam otherwise). Reports and errors are identical to
+// a scan over the digraph; only the footprint differs: the generator
+// computes arcs on the fly, so the scan never builds the digraph's
+// in-neighbor CSR and its working memory is the frontier buffers alone.
+// Without this option only implicit networks, and scans whose CSR would
+// not fit WithMaxMemory, flood over the generator.
 func WithImplicitScan() Option { return func(c *config) { c.implicitScan = true } }
 
 // WithMaxMemory caps the estimated working memory of AnalyzeBroadcastAll
 // in bytes — the guard rail for serving layers that must not let one scan
-// balloon the process. A scan whose CSR kernel would exceed the cap falls
-// back to the streaming generator kernel (when the network carries one);
-// if every available kernel exceeds the cap the scan fails with
-// ErrMemoryBudget instead of allocating. Zero or negative means no cap.
+// balloon the process. A scan over a materialized network whose
+// in-neighbor CSR would exceed the cap floods over the network's generator
+// instead (when it carries one); if neither fits the cap the scan fails
+// with ErrMemoryBudget instead of allocating. Zero or negative means no
+// cap.
 func WithMaxMemory(bytes int64) Option { return func(c *config) { c.maxMemory = bytes } }
 
 // WithDelayPlan hands Certify a pre-compiled delay lowering

@@ -164,15 +164,6 @@ const maxInstanceVertices = 1 << 26
 // large box.
 const maxImplicitVertices = 1 << 28
 
-// DefaultImplicitScanNodes is the vertex count above which
-// AnalyzeBroadcastAll prefers the streaming generator kernels for networks
-// that carry both representations: past it the CSR lowering costs more
-// than the generator path saves. Registry-built networks at most this size
-// are always materialized, so the heuristic only fires for hand-built
-// Networks with an attached generator; force the streaming kernels at any
-// size with WithImplicitScan.
-const DefaultImplicitScanNodes = materializeThreshold
-
 // maxCompleteVertices caps the complete graph separately: K_n materializes
 // n² arcs, so the generic vertex ceiling would still admit gigabyte-scale
 // builds (n=8192 is already ~67M arcs). 2048² ≈ 4.2M arcs stays modest.
