@@ -99,11 +99,10 @@ type DigraphSource struct {
 	src    []int32
 }
 
-// NewDigraphSource wraps g as an ArcSource. Adjacency is sorted first, so
+// NewDigraphSource wraps g as an ArcSource. Adjacency is sorted, so
 // neighbor order, like every compiled artifact, is deterministic for a
 // given arc set.
 func NewDigraphSource(g *Digraph) *DigraphSource {
-	g.sortAdj()
 	m, deg := 0, 0
 	for v := 0; v < g.n; v++ {
 		m += len(g.in[v])

@@ -13,7 +13,6 @@ func (g *Digraph) BFS(src int) []int {
 //
 //gossip:allowpanic range guard: indices come from trusted topology constructions
 func (g *Digraph) MultiSourceBFS(srcs []int) []int {
-	g.sortAdj()
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = Unreached
@@ -65,7 +64,7 @@ func (g *Digraph) Eccentricity(u int) int {
 func (g *Digraph) Diameter() int {
 	g.diamMu.Lock()
 	defer g.diamMu.Unlock()
-	if g.diamArcs == len(g.arcSet)+1 {
+	if g.diamArcs == g.m+1 {
 		return g.diamVal
 	}
 	diam := 0
@@ -79,7 +78,7 @@ func (g *Digraph) Diameter() int {
 			diam = ecc
 		}
 	}
-	g.diamVal, g.diamArcs = diam, len(g.arcSet)+1
+	g.diamVal, g.diamArcs = diam, g.m+1
 	return diam
 }
 

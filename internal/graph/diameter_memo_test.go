@@ -28,7 +28,6 @@ func TestDiameterMemoConcurrent(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		g.AddEdge(i, (i+1)%64)
 	}
-	g.EnsureSorted()
 	want := g.Diameter()
 	done := make(chan int, 8)
 	for w := 0; w < 8; w++ {

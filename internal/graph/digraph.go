@@ -8,7 +8,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -21,12 +21,17 @@ type Arc struct {
 // parallel arcs are rejected at insertion. The networks of the paper are
 // modeled as digraphs; an undirected (half/full-duplex capable) network is a
 // symmetric digraph containing both orientations of every edge.
+//
+// Adjacency lists are kept sorted at insertion, so traversal order is
+// deterministic and no query writes to the digraph: once built, a Digraph
+// is safe for concurrent reads. AddArc costs O(log deg) to find the slot
+// plus the shift of any larger neighbors; the topology builders emit each
+// vertex's arcs in ascending order, so in practice it appends.
 type Digraph struct {
-	n      int
-	out    [][]int
-	in     [][]int
-	arcSet map[Arc]struct{}
-	sorted bool
+	n   int
+	m   int
+	out [][]int
+	in  [][]int
 
 	// Diameter memo: diamVal is valid for a graph with diamArcs-1 arcs
 	// (0 = never computed). Guarded by diamMu so concurrent sessions sharing
@@ -44,10 +49,9 @@ func New(n int) *Digraph {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
 	return &Digraph{
-		n:      n,
-		out:    make([][]int, n),
-		in:     make([][]int, n),
-		arcSet: make(map[Arc]struct{}),
+		n:   n,
+		out: make([][]int, n),
+		in:  make([][]int, n),
 	}
 }
 
@@ -55,7 +59,7 @@ func New(n int) *Digraph {
 func (g *Digraph) N() int { return g.n }
 
 // M returns the number of arcs.
-func (g *Digraph) M() int { return len(g.arcSet) }
+func (g *Digraph) M() int { return g.m }
 
 // AddArc inserts the arc u→v. It panics on self-loops, out-of-range vertices
 // or duplicate arcs: topology generators are deterministic and a duplicate
@@ -69,14 +73,27 @@ func (g *Digraph) AddArc(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	a := Arc{u, v}
-	if _, dup := g.arcSet[a]; dup {
+	out, fresh := insertSorted(g.out[u], v)
+	if !fresh {
 		panic(fmt.Sprintf("graph: duplicate arc (%d,%d)", u, v))
 	}
-	g.arcSet[a] = struct{}{}
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
-	g.sorted = false
+	g.out[u] = out
+	g.in[v], _ = insertSorted(g.in[v], u)
+	g.m++
+}
+
+// insertSorted inserts x into the ascending slice s, reporting false (and
+// leaving s as is) when x is already present. Ascending insertions, the
+// topology builders' order, take the append fast path.
+func insertSorted(s []int, x int) ([]int, bool) {
+	if k := len(s); k == 0 || s[k-1] < x {
+		return append(s, x), true
+	}
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s, false
+	}
+	return slices.Insert(s, i, x), true
 }
 
 // AddEdge inserts both u→v and v→u.
@@ -87,15 +104,19 @@ func (g *Digraph) AddEdge(u, v int) {
 
 // HasArc reports whether u→v is present.
 func (g *Digraph) HasArc(u, v int) bool {
-	_, ok := g.arcSet[Arc{u, v}]
+	if u < 0 || u >= g.n {
+		return false
+	}
+	_, ok := slices.BinarySearch(g.out[u], v)
 	return ok
 }
 
-// Out returns the out-neighbors of u. The returned slice must not be
-// modified.
+// Out returns the out-neighbors of u in ascending order. The returned
+// slice must not be modified.
 func (g *Digraph) Out(u int) []int { return g.out[u] }
 
-// In returns the in-neighbors of u. The returned slice must not be modified.
+// In returns the in-neighbors of u in ascending order. The returned slice
+// must not be modified.
 func (g *Digraph) In(u int) []int { return g.in[u] }
 
 // OutDeg returns the out-degree of u.
@@ -129,42 +150,34 @@ func (g *Digraph) MaxDeg() int {
 
 // Arcs returns all arcs in deterministic (sorted) order.
 func (g *Digraph) Arcs() []Arc {
-	arcs := make([]Arc, 0, len(g.arcSet))
-	for a := range g.arcSet {
-		arcs = append(arcs, a)
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].From != arcs[j].From {
-			return arcs[i].From < arcs[j].From
+	arcs := make([]Arc, 0, g.m)
+	for u, vs := range g.out {
+		for _, v := range vs {
+			arcs = append(arcs, Arc{u, v})
 		}
-		return arcs[i].To < arcs[j].To
-	})
+	}
 	return arcs
 }
 
 // Edges returns the undirected edges {u,v} with u < v for which both
-// orientations are present.
+// orientations are present, in sorted order.
 func (g *Digraph) Edges() []Arc {
 	var edges []Arc
-	for a := range g.arcSet {
-		if a.From < a.To && g.HasArc(a.To, a.From) {
-			edges = append(edges, a)
+	for u, vs := range g.out {
+		for _, v := range vs {
+			if u < v && g.HasArc(v, u) {
+				edges = append(edges, Arc{u, v})
+			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
 	return edges
 }
 
 // IsSymmetric reports whether every arc's opposite is present, i.e. whether
 // g models an undirected network.
 func (g *Digraph) IsSymmetric() bool {
-	for a := range g.arcSet {
-		if !g.HasArc(a.To, a.From) {
+	for u := range g.out {
+		if !slices.Equal(g.out[u], g.in[u]) {
 			return false
 		}
 	}
@@ -175,7 +188,7 @@ func (g *Digraph) IsSymmetric() bool {
 // added (when missing).
 func (g *Digraph) SymmetricClosure() *Digraph {
 	c := New(g.n)
-	for a := range g.arcSet {
+	for _, a := range g.Arcs() {
 		if !c.HasArc(a.From, a.To) {
 			c.AddArc(a.From, a.To)
 		}
@@ -189,26 +202,8 @@ func (g *Digraph) SymmetricClosure() *Digraph {
 // Reverse returns the digraph with every arc reversed.
 func (g *Digraph) Reverse() *Digraph {
 	r := New(g.n)
-	for a := range g.arcSet {
+	for _, a := range g.Arcs() {
 		r.AddArc(a.To, a.From)
 	}
 	return r
-}
-
-// EnsureSorted sorts the adjacency lists now instead of on the first
-// traversal. Call it before sharing a fully built digraph across
-// goroutines: the lazy sort mutates the graph, so concurrent first
-// traversals would race.
-func (g *Digraph) EnsureSorted() { g.sortAdj() }
-
-// sortAdj sorts adjacency lists for deterministic traversal order.
-func (g *Digraph) sortAdj() {
-	if g.sorted {
-		return
-	}
-	for u := 0; u < g.n; u++ {
-		sort.Ints(g.out[u])
-		sort.Ints(g.in[u])
-	}
-	g.sorted = true
 }

@@ -14,7 +14,6 @@ func (g *Digraph) DiameterParallel() int {
 	if g.n == 0 {
 		return 0
 	}
-	g.sortAdj() // sort once up front; workers only read afterwards
 	workers := runtime.GOMAXPROCS(0)
 	if workers > g.n {
 		workers = g.n

@@ -53,7 +53,6 @@ func (q *pq) Pop() interface{} {
 // WeightedDistances returns the weighted shortest-path distances from src
 // under w (Dijkstra); unreachable vertices get Unreached.
 func (g *Digraph) WeightedDistances(src int, w Weights) []int {
-	g.sortAdj()
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = Unreached

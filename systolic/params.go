@@ -173,7 +173,7 @@ const maxCompleteVertices = 2048
 // registry builders skip materialization and return an implicit network.
 // At or below it both representations are attached (G for schedule
 // compilers and bounds, Gen for the streaming kernels); above it only Gen.
-// 2^19 keeps every materialized build's adjacency-plus-arc-set footprint
+// 2^19 keeps every materialized build's sorted-adjacency footprint
 // modest and puts the 2^20-node hypercube (dimension 20) on the implicit
 // side — the scale tier's acceptance point.
 const materializeThreshold = 1 << 19

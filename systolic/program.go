@@ -38,9 +38,8 @@ type Program struct {
 }
 
 // CompileProtocol validates p on the network and lowers it into the shared
-// schedule IR. The network's adjacency lists are force-sorted so the
-// resulting Program (which retains the network) can back concurrent
-// sessions without racing on the digraph's lazy traversal sort.
+// schedule IR. The resulting Program retains the network; a built digraph
+// is read-only, so the program can back concurrent sessions.
 //
 // A generator-backed p (p.Gen set, no explicit rounds) is lowered onto the
 // generator: on an implicit network the program streams every round, on a
@@ -65,7 +64,6 @@ func CompileProtocol(net *Network, p *Protocol) (*Program, error) {
 		if err := mp.Validate(net.G); err != nil {
 			return nil, err
 		}
-		net.G.EnsureSorted()
 		prog, err := gossip.Compile(mp, net.G.N(), 1)
 		if err != nil {
 			return nil, fmt.Errorf("systolic: compile on %s: %w", net.Name, err)
@@ -78,7 +76,6 @@ func CompileProtocol(net *Network, p *Protocol) (*Program, error) {
 	if err := p.Validate(net.G); err != nil {
 		return nil, err
 	}
-	net.G.EnsureSorted()
 	prog, err := gossip.Compile(p, net.G.N(), net.G.N())
 	if err != nil {
 		return nil, fmt.Errorf("systolic: compile on %s: %w", net.Name, err)
