@@ -407,23 +407,6 @@ func BenchmarkSeparatorOptimizer(b *testing.B) {
 	b.ReportMetric(e, "WBF2_s4")
 }
 
-// BenchmarkTraceGossip measures the dissemination-curve recorder on the
-// hypercube doubling workload (the "series" view of the evaluation).
-func BenchmarkTraceGossip(b *testing.B) {
-	const D = 8
-	g := topology.Hypercube(D)
-	p := protocols.HypercubeExchange(D)
-	var tr *gossip.Trace
-	for i := 0; i < b.N; i++ {
-		var err error
-		tr, err = gossip.TraceGossip(g, p, 10*D)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Complete), "rounds")
-}
-
 // BenchmarkProtocolEncode measures schedule serialization throughput.
 func BenchmarkProtocolEncode(b *testing.B) {
 	p := protocols.PeriodicHalfDuplex(topology.NewDeBruijn(2, 7).G)

@@ -267,13 +267,15 @@ func main() {
 // runImplicitDemo streams a 64-source eccentricity scan through the
 // generator kernel and reports the round profile, wall time and heap
 // footprint — the scale-tier demonstration. It needs a generator-eligible
-// topology; past the materialization threshold the network is implicit and
-// would stream anyway, below it WithImplicitScan forces the streaming
-// kernel so the demo is honest at any size.
+// topology; past the materialization threshold the network is implicit
+// already, below it the demo runs on an implicit view of it (the digraph
+// dropped), so both halves stream at any size.
 func runImplicitDemo(net *systolic.Network, proto string, budget int) {
 	if net.Gen == nil {
 		fatalf("-implicit needs a generator-eligible topology (hypercube, cycle, torus, ccc, butterfly, debruijn[-digraph], kautz[-digraph])")
 	}
+	imp := *net
+	imp.G = nil
 	n := net.N()
 	count := 64
 	if n < count {
@@ -285,8 +287,8 @@ func runImplicitDemo(net *systolic.Network, proto string, budget int) {
 		sources[i] = i * stride
 	}
 	start := time.Now()
-	rep, err := systolic.AnalyzeBroadcastAll(context.Background(), net,
-		systolic.WithSources(sources), systolic.WithImplicitScan(), systolic.WithRoundBudget(budget))
+	rep, err := systolic.AnalyzeBroadcastAll(context.Background(), &imp,
+		systolic.WithSources(sources), systolic.WithRoundBudget(budget))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -298,22 +300,15 @@ func runImplicitDemo(net *systolic.Network, proto string, budget int) {
 	fmt.Printf("rounds:     worst=%d (source %d) best=%d (source %d) mean=%.2f\n",
 		rep.Worst, rep.WorstSource, rep.Best, rep.BestSource, rep.MeanRounds)
 	fmt.Printf("memory:     heap in use %d MiB, total from OS %d MiB\n", ms.HeapInuse>>20, ms.Sys>>20)
-	runImplicitProtocol(net, proto, budget)
+	runImplicitProtocol(&imp, proto, budget)
 }
 
 // runImplicitProtocol is the second half of the scale demo: it compiles
-// -protocol to a generator program — every round's exchange arcs computed
-// from the vertex id, never stored — simulates the broadcast to completion
-// and prints rounds, resident set size and arcs streamed per round. Below
-// the materialization threshold the network is re-wrapped as implicit so
-// the demo exercises the streaming path at any size.
-func runImplicitProtocol(net *systolic.Network, proto string, budget int) {
-	demo := net
-	if !net.Implicit() {
-		imp := systolic.PlainImplicit(net.Name, net.Gen, net.DegreeParam)
-		imp.Sched = net.Sched
-		demo = imp
-	}
+// -protocol to a generator program on the implicit network — every
+// round's exchange arcs computed from the vertex id, never stored —
+// simulates the broadcast to completion and prints rounds, resident set
+// size and arcs streamed per round.
+func runImplicitProtocol(demo *systolic.Network, proto string, budget int) {
 	p, err := systolic.NewProtocol(proto, demo, budget)
 	if err != nil {
 		fmt.Printf("protocol:   %s does not compile to a generator program (eligible: %s)\n",

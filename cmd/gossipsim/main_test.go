@@ -117,3 +117,26 @@ func TestSmokeBadFlags(t *testing.T) {
 		t.Errorf("error message unhelpful:\n%s", out)
 	}
 }
+
+// TestSmokeImplicit pins the scale demo on a materialized hypercube: the
+// scan and the generator-program simulation both stream over the network's
+// generator, and everything but timings and memory is fixed output.
+func TestSmokeImplicit(t *testing.T) {
+	tool := buildTool(t)
+	out, err := exec.Command(tool,
+		"-topology", "hypercube", "-dimension", "10", "-implicit",
+		"-protocol", "hypercube").CombinedOutput()
+	if err != nil {
+		t.Fatalf("gossipsim -implicit failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"network:    hypercube (n=1024, implicit=false, streaming generator kernel)\n",
+		"rounds:     worst=10 (source 0) best=10 (source 0) mean=10.00\n",
+		"protocol:   hypercube (full-duplex mode, period 10) as generator program a7586d2d8529e7c7\n",
+		"simulated:  broadcast from source 0 in 10 rounds ≥ certified bound 10 (",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -4,15 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"repro/internal/graph"
 )
 
 // FrontierState is the broadcast-specialized knowledge tracker: it records
 // only whether each vertex has been informed of the single broadcast item,
 // packed one bit per vertex (n bits total instead of a word per vertex), and
-// reports how the informed frontier grows round by round. Step performs
-// zero allocations.
+// reports how the informed frontier grows round by round. StepProgram
+// performs zero allocations.
 type FrontierState struct {
 	n        int
 	informed bitset // one bit per vertex
@@ -38,22 +36,6 @@ func (f *FrontierState) Reset(source int) {
 	f.prev.clearAll()
 	f.informed.set(source)
 	f.know = 1
-}
-
-// Step applies one communication round — an arc (x, y) informs y iff x was
-// informed at the beginning of the round — and returns the number of newly
-// informed vertices (the frontier growth).
-func (f *FrontierState) Step(round []graph.Arc) int {
-	copy(f.prev, f.informed)
-	gained := 0
-	for _, a := range round {
-		if f.prev.has(a.From) && !f.informed.has(a.To) {
-			f.informed.set(a.To)
-			gained++
-		}
-	}
-	f.know += gained
-	return gained
 }
 
 // Informed reports whether vertex v has the item.

@@ -2,7 +2,6 @@ package gossip
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
@@ -254,65 +253,4 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 	}
 	f.know += gained
 	return gained
-}
-
-// StepGenProgramRange computes the next-round words for destinations
-// [lo, hi) of execution round i only: the vertex-range shard of a
-// generator-compiled packed step, mirroring StepFloodGenRange. Shards of
-// one round partition [0, n) across workers (disjoint writes to the next
-// buffer, read-only current buffer), each using its own GenRun; when every
-// shard has returned, exactly one caller must CommitStep, and the round's
-// (complete, changed, informed) are the AND / OR / sum of the shard
-// results, with complete and changed masked by Full.
-//
-//gossip:hotpath
-func (f *PackedFrontier) StepGenProgramRange(gr *GenRun, i, lo, hi int) (and, changed uint64, informed int) {
-	g := gr.prog
-	cur, nxt := f.cur, f.next
-	and = ^uint64(0)
-	r := i % g.period
-	if gr.buf != nil {
-		for clo := lo; clo < hi; clo += graph.GenChunkVerts {
-			chi := min(clo+graph.GenChunkVerts, hi)
-			buf := gr.buf[:chi-clo]
-			g.sc.SenderChunk(r, clo, chi, buf)
-			for j, s := range buf {
-				v := clo + j
-				pv := cur[v]
-				w := pv
-				if s >= 0 {
-					w |= cur[s]
-				}
-				nxt[v] = w
-				changed |= w ^ pv
-				and &= w
-				informed += bits.OnesCount64(w)
-			}
-		}
-		return and, changed, informed
-	}
-	rs := g.rs
-	for v := lo; v < hi; v++ {
-		pv := cur[v]
-		w := pv
-		if s := rs.Sender(r, v); s >= 0 {
-			w |= cur[s]
-		}
-		nxt[v] = w
-		changed |= w ^ pv
-		and &= w
-		informed += bits.OnesCount64(w)
-	}
-	return and, changed, informed
-}
-
-// StepGenProgram advances every lane one round of the generator-compiled
-// schedule: the single-worker convenience over StepGenProgramRange +
-// CommitStep.
-//
-//gossip:hotpath
-func (f *PackedFrontier) StepGenProgram(gr *GenRun, i int) (complete, changed uint64, informed int) {
-	and, ch, informed := f.StepGenProgramRange(gr, i, 0, f.n)
-	f.CommitStep()
-	return and & f.full, ch & f.full, informed
 }

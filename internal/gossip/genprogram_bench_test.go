@@ -57,19 +57,3 @@ func BenchmarkGenProgramStepCSR(b *testing.B) {
 	// on top of the two frontier bitsets.
 	b.ReportMetric(float64(2*(n/8)+8*(n/2)*12)/float64(n), "bytes/node")
 }
-
-// BenchmarkPackedStepGenProgram measures the 64-lane generator-program
-// step on hypercube d=12 — the kernel the per-source certification scan
-// drives.
-func BenchmarkPackedStepGenProgram(b *testing.B) {
-	gen := genProgramBenchSchedule()
-	n := gen.N()
-	run := gossip.NewGenRun(gen)
-	pf := packedBenchSetup(b, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pf.StepGenProgram(run, i)
-	}
-	b.ReportMetric(float64(16*n+4*4096)/float64(n), "bytes/node")
-}

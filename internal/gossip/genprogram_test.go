@@ -1,7 +1,6 @@
 package gossip
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -141,65 +140,8 @@ func TestStepGenProgramMatchesStepProgram(t *testing.T) {
 	}
 }
 
-// TestPackedStepGenProgramMatchesScalar pins the packed 64-lane step (and
-// its sharded range form) against the scalar frontier walk: lane l of the
-// packed frontier must trace the broadcast from source l exactly.
-func TestPackedStepGenProgramMatchesScalar(t *testing.T) {
-	for _, tc := range genProgCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			gen := CompileGen(tc.rs, tc.mode)
-			n := gen.N()
-			lanes := min(n, PackedLanes)
-			sources := make([]int, lanes)
-			for l := range sources {
-				sources[l] = (l * 7) % n
-			}
-			scalars := make([]*FrontierState, lanes)
-			for l, src := range sources {
-				scalars[l] = NewFrontierState(n, src)
-			}
-			run := NewGenRun(gen)
-			sruns := []*GenRun{NewGenRun(gen), NewGenRun(gen), NewGenRun(gen)}
-			pf := NewPackedFrontier(n)
-			pf.Reset(sources)
-			sharded := NewPackedFrontier(n)
-			sharded.Reset(sources)
-			for i := 0; i < 3*gen.Period()+3; i++ {
-				_, _, informed := pf.StepGenProgram(run, i)
-				// Sharded: three uneven ranges, then one commit.
-				var sInformed int
-				cuts := []int{0, n / 3, n / 2, n}
-				for s := 0; s+1 < len(cuts); s++ {
-					_, _, inf := sharded.StepGenProgramRange(sruns[s], i, cuts[s], cuts[s+1])
-					sInformed += inf
-				}
-				sharded.CommitStep()
-				if sInformed != informed {
-					t.Fatalf("round %d: sharded informed %d, serial %d", i, sInformed, informed)
-				}
-				want := 0
-				for l := range scalars {
-					scalars[l].StepGenProgram(run, i)
-					want += scalars[l].InformedCount()
-				}
-				if informed != want {
-					t.Fatalf("round %d: packed informed %d, scalar %d", i, informed, want)
-				}
-				for v := 0; v < n; v++ {
-					for l := range scalars {
-						if pf.Informed(v, l) != scalars[l].Informed(v) {
-							t.Fatalf("round %d: lane %d vertex %d packed %v scalar %v",
-								i, l, v, pf.Informed(v, l), scalars[l].Informed(v))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestStepGenProgramAllocs pins the zero-allocation contract of the
-// generator-compiled hot paths.
+// generator-compiled frontier step.
 func TestStepGenProgramAllocs(t *testing.T) {
 	gen := CompileGen(topology.NewSchedule(topology.NewHypercubeClasses(8)).FullDuplex(), FullDuplex)
 	n := gen.N()
@@ -211,15 +153,6 @@ func TestStepGenProgramAllocs(t *testing.T) {
 		round++
 	}); avg != 0 {
 		t.Errorf("FrontierState.StepGenProgram allocates %.1f per step", avg)
-	}
-	pf := NewPackedFrontier(n)
-	pf.Reset([]int{0, 1, 2})
-	round = 0
-	if avg := testing.AllocsPerRun(100, func() {
-		pf.StepGenProgram(run, round)
-		round++
-	}); avg != 0 {
-		t.Errorf("PackedFrontier.StepGenProgram allocates %.1f per step", avg)
 	}
 }
 
@@ -237,70 +170,6 @@ func TestGenProgramRoundArcs(t *testing.T) {
 			}
 			if gen.RoundArcs(-1) != 0 {
 				t.Fatalf("RoundArcs(-1) != 0")
-			}
-		})
-	}
-}
-
-// TestPackedStepGenProgramWorkerShards runs the range-sharded step the way
-// the worker pool does — one goroutine per worker on disjoint vertex
-// ranges, a join, then CommitStep — for every worker count 1..8, and
-// demands the informed counts match the single-worker step round for
-// round. Under -race this pins the concurrency contract of
-// StepGenProgramRange (per-worker GenRun scratch, disjoint destination
-// ranges, commit after the join).
-func TestPackedStepGenProgramWorkerShards(t *testing.T) {
-	for _, tc := range genProgCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			gen := CompileGen(tc.rs, tc.mode)
-			n := gen.N()
-			lanes := min(n, PackedLanes)
-			sources := make([]int, lanes)
-			for l := range sources {
-				sources[l] = (l * 5) % n
-			}
-			serial := NewPackedFrontier(n)
-			srun := NewGenRun(gen)
-			for workers := 1; workers <= 8; workers++ {
-				serial.Reset(sources)
-				pf := NewPackedFrontier(n)
-				pf.Reset(sources)
-				runs := make([]*GenRun, workers)
-				for w := range runs {
-					runs[w] = NewGenRun(gen)
-				}
-				for i := 0; i < 2*gen.Period()+2; i++ {
-					_, _, want := serial.StepGenProgram(srun, i)
-					informed := make([]int, workers)
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						lo, hi := n*w/workers, n*(w+1)/workers
-						wg.Add(1)
-						go func(w, lo, hi int) {
-							defer wg.Done()
-							_, _, inf := pf.StepGenProgramRange(runs[w], i, lo, hi)
-							informed[w] = inf
-						}(w, lo, hi)
-					}
-					wg.Wait()
-					pf.CommitStep()
-					got := 0
-					for _, inf := range informed {
-						got += inf
-					}
-					if got != want {
-						t.Fatalf("workers=%d round %d: sharded informed %d, serial %d",
-							workers, i, got, want)
-					}
-					for v := 0; v < n; v++ {
-						for l := 0; l < lanes; l++ {
-							if pf.Informed(v, l) != serial.Informed(v, l) {
-								t.Fatalf("workers=%d round %d: informed(%d, lane %d) sharded %v serial %v",
-									workers, i, v, l, pf.Informed(v, l), serial.Informed(v, l))
-							}
-						}
-					}
-				}
 			}
 		})
 	}

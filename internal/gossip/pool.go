@@ -1,17 +1,14 @@
 package gossip
 
-import (
-	"sync"
-	"sync/atomic"
+import "sync"
 
-	"repro/internal/graph"
-)
-
-// Pool is a persistent worker pool that shards State.Step across vertices.
-// Arcs are partitioned by ownership — worker w copies the senders with
-// From % workers == w and merges the receivers with To % workers == w — so
-// every word of the state has exactly one writer per phase and the result
-// is byte-identical to a serial Step for any arc set, not just matchings.
+// Pool is a persistent worker pool that shards compiled rounds
+// (State.StepProgram) across vertices. Each worker executes its share of
+// the program's compile-time partition — an even cut of every round's
+// sender copy-spans and receiver ops, bucketed by receiver on rounds with
+// duplicate destinations — so every word of the state has exactly one
+// writer per phase and the result is byte-identical to a serial
+// StepProgram for any arc set, not just matchings.
 //
 // The workers are long-lived goroutines parked on per-worker channels;
 // driving a round costs two wakeup/barrier cycles and no allocations.
@@ -30,8 +27,7 @@ type Pool struct {
 
 type poolJob struct {
 	st    *State
-	round []graph.Arc // interpreted path (prog == nil)
-	prog  *Program    // compiled path
+	prog  *Program
 	part  *partition
 	r     int32 // explicit compiled round index
 	phase uint8 // 0: snapshot senders, 1: merge receivers
@@ -55,7 +51,7 @@ func NewPool(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Close shuts the worker goroutines down. It must not be called while a
-// Step is in flight.
+// round is in flight.
 func (p *Pool) Close() {
 	for _, ch := range p.jobs {
 		close(ch)
@@ -64,34 +60,19 @@ func (p *Pool) Close() {
 
 func (p *Pool) worker(w int, ch chan poolJob) {
 	for job := range ch {
-		if job.prog != nil {
-			job.st.shardCompiled(job.prog, job.part, int(job.r), job.phase, w)
-		} else {
-			job.st.shard(job.round, job.phase, w, p.workers)
-		}
+		job.st.shardCompiled(job.prog, job.part, int(job.r), job.phase, w)
 		p.wg.Done()
 	}
 }
 
-// step drives one round through the pool: a snapshot phase, a barrier, a
-// merge phase, a barrier. The barriers give every merge a happens-before
-// edge on every snapshot, preserving beginning-of-round semantics.
-func (p *Pool) step(st *State, round []graph.Arc) {
-	for phase := uint8(0); phase < 2; phase++ {
-		p.wg.Add(p.workers)
-		for _, ch := range p.jobs {
-			ch <- poolJob{st: st, round: round, phase: phase}
-		}
-		p.wg.Wait()
-	}
-}
-
-// stepProgram drives one compiled round through the pool. The shard plan
-// comes from the program's compile-time partition (memoized per worker
-// count); the two phases and barriers mirror step, except that the
-// snapshot phase is skipped outright on rounds the compiler proved need no
-// shadow copies (every matching and fully fused round) — one barrier per
-// round instead of two.
+// stepProgram drives one compiled round through the pool: a snapshot
+// phase, a barrier, a merge phase, a barrier. The barriers give every
+// merge a happens-before edge on every snapshot, preserving
+// beginning-of-round semantics. The shard plan comes from the program's
+// compile-time partition (memoized per worker count), and the snapshot
+// phase is skipped outright on rounds the compiler proved need no shadow
+// copies (every matching and fully fused round) — one barrier per round
+// instead of two.
 func (p *Pool) stepProgram(st *State, pr *Program, r int) {
 	if p.lastProg != pr {
 		p.lastProg, p.lastPart = pr, pr.partition(p.workers)
@@ -107,37 +88,5 @@ func (p *Pool) stepProgram(st *State, pr *Program, r int) {
 			ch <- poolJob{st: st, prog: pr, part: part, r: int32(r), phase: phase}
 		}
 		p.wg.Wait()
-	}
-}
-
-// shard executes one worker's slice of a phase. Gains are accumulated
-// locally and published once per shard with atomics; counts[To] needs no
-// synchronization because each To has a single owner.
-func (s *State) shard(round []graph.Arc, phase uint8, w, workers int) {
-	if phase == 0 {
-		ww := s.words
-		for _, a := range round {
-			if a.From%workers != w {
-				continue
-			}
-			o := a.From * ww
-			copy(s.prev[o:o+ww], s.cur[o:o+ww])
-		}
-		return
-	}
-	var gained, newlyFull int64
-	for _, a := range round {
-		if a.To%workers != w {
-			continue
-		}
-		g, becameFull := s.recv(a)
-		gained += int64(g)
-		if becameFull {
-			newlyFull++
-		}
-	}
-	if gained != 0 {
-		atomic.AddInt64(&s.know, gained)
-		atomic.AddInt64(&s.full, newlyFull)
 	}
 }

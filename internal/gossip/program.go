@@ -30,14 +30,14 @@ import (
 //     through word spans merged at compile time into bulk copies;
 //   - shard partitions for any worker count are derived once per
 //     (program, workers) pair — per-worker execution orders with balanced,
-//     conflict-free cuts — replacing the pool's per-step ownership scan of
-//     the whole round.
+//     conflict-free cuts — so a Pool worker never scans the whole round.
 //
 // A Program is immutable after Compile (partitions are memoized under a
 // mutex), so one compiled program may back any number of concurrent
 // sessions. Executing it is byte-identical to interpreting the protocol's
-// arc slices with Step: the OR-merge is commutative and the snapshot/fusion
-// analysis preserves beginning-of-round semantics exactly.
+// arc slices round by round (the tests' reference interpreter): the
+// OR-merge is commutative and the snapshot/fusion analysis preserves
+// beginning-of-round semantics exactly.
 type Program struct {
 	n     int // processors
 	items int // item-space width the offsets were lowered for
@@ -294,9 +294,9 @@ func (pr *Program) roundIndex(i int) int {
 // spans are bulk-copied (only when the round genuinely needs them), fused
 // exchanges run in one pass, then the remaining arcs merge their sender's
 // beginning-of-round words into their receiver. The result is
-// byte-identical to Step(p.Round(i)), and the steady state performs zero
-// allocations. Out-of-schedule rounds (finite protocol past its end) are
-// no-ops, matching Step(nil).
+// byte-identical to interpreting the arcs of p.Round(i), and the steady
+// state performs zero allocations. Out-of-schedule rounds (finite protocol
+// past its end) are no-ops, like an empty round.
 //
 //gossip:hotpath
 func (s *State) StepProgram(pr *Program, i int) {
@@ -547,9 +547,10 @@ func (s *State) shardCompiled(pr *Program, part *partition, r int, phase uint8, 
 	}
 }
 
-// StepProgram applies execution round i of a compiled program to the packed
-// broadcast frontier and returns the number of newly informed vertices. It
-// is byte-identical to Step(p.Round(i)).
+// StepProgram applies execution round i of a compiled program to the
+// one-bit-per-vertex broadcast frontier and returns the number of newly
+// informed vertices. It is byte-identical to interpreting the arcs of
+// p.Round(i).
 //
 //gossip:allowpanic pairing guard: the session layer establishes program/state compatibility
 //gossip:hotpath

@@ -11,7 +11,7 @@
 // compile-time shard partitions. State.StepProgram, FrontierState.
 // StepProgram, the sharded Pool and Program.CompletionCertificate all
 // execute the same IR, byte-identically to interpreting the raw arc slices
-// with Step — which remains available for ad-hoc arc sets. Simulate,
+// (the arc-slice interpreters live in the tests as oracles). Simulate,
 // SimulateBroadcast and CompletionCertificate compile on entry, so one-shot
 // callers get the compiled hot path for free.
 package gossip

@@ -18,7 +18,7 @@ var ErrIncomplete = errors.New("gossip: protocol did not complete within the rou
 //
 // The knowledge sets live in one flat word array (words consecutive uint64
 // per vertex) with a same-sized shadow buffer for beginning-of-round
-// snapshots, so Step performs zero allocations in steady state. Per-vertex
+// snapshots, so StepProgram performs zero allocations in steady state. Per-vertex
 // item counts, the total knowledge and the number of saturated vertices are
 // maintained incrementally, making TotalKnowledge, Count, GossipComplete
 // and BroadcastComplete O(1).
@@ -77,14 +77,14 @@ func NewBroadcastState(n, source int) *State {
 	return s
 }
 
-// UsePool shards subsequent Steps across the pool's workers; passing nil
-// reverts to serial stepping. Results are identical either way.
+// UsePool shards subsequent StepProgram rounds across the pool's workers;
+// passing nil reverts to serial stepping. Results are identical either way.
 func (s *State) UsePool(p *Pool) { s.pool = p }
 
 // Reset returns a gossip state (one built by NewState) to its initial
 // "every processor knows exactly its own item" configuration without
-// reallocating — the shadow buffer need not be cleared because Step and
-// StepProgram always write a sender's snapshot before reading it. Loops
+// reallocating — the shadow buffer need not be cleared because StepProgram
+// always writes a sender's snapshot before reading it. Loops
 // that run many simulations of one shape (the Monte-Carlo scenario trials)
 // reuse one State through Reset instead of paying two n×words allocations
 // per run. It panics on broadcast-shaped states (items != n), whose initial
@@ -115,58 +115,9 @@ func (s *State) Knows(v, i int) bool {
 // Count returns how many items processor v knows.
 func (s *State) Count(v int) int { return int(s.counts[v]) }
 
-// TotalKnowledge returns the sum over processors of known items; it is
-// strictly monotone under Step until completion.
+// TotalKnowledge returns the sum over processors of known items; it never
+// decreases from one round to the next.
 func (s *State) TotalKnowledge() int { return int(s.know) }
-
-// Step applies one communication round: for each active arc (x, y), y learns
-// everything x knew at the beginning of the round. All transfers in a round
-// are simultaneous; because rounds are matchings a vertex receives on at
-// most one arc, but the implementation is still correct for arbitrary arc
-// sets (e.g. full-duplex opposite pairs): every sender's words are copied
-// into the shadow buffer before any merge, so opposite arcs exchange the
-// beginning-of-round sets as the model requires.
-func (s *State) Step(round []graph.Arc) {
-	if s.pool != nil {
-		s.pool.step(s, round)
-		return
-	}
-	w := s.words
-	for _, a := range round {
-		o := a.From * w
-		copy(s.prev[o:o+w], s.cur[o:o+w])
-	}
-	for _, a := range round {
-		gained, becameFull := s.recv(a)
-		s.know += int64(gained)
-		if becameFull {
-			s.full++
-		}
-	}
-}
-
-// recv merges the beginning-of-round set of a.From into a.To and updates
-// the per-vertex count. It returns the number of newly learned items and
-// whether a.To just reached full knowledge. Callers own the aggregation of
-// the returns into know/full (serial directly, sharded via atomics) —
-// counts[a.To] itself is only ever touched by a.To's owner.
-func (s *State) recv(a graph.Arc) (gained int, becameFull bool) {
-	w := s.words
-	src := s.prev[a.From*w : a.From*w+w]
-	dst := s.cur[a.To*w : a.To*w+w : a.To*w+w]
-	for i, sw := range src {
-		old := dst[i]
-		if nw := old | sw; nw != old {
-			dst[i] = nw
-			gained += bits.OnesCount64(nw &^ old)
-		}
-	}
-	if gained > 0 {
-		s.counts[a.To] += int32(gained)
-		becameFull = int(s.counts[a.To]) == s.items
-	}
-	return gained, becameFull
-}
 
 // GossipComplete reports whether every processor knows every item.
 func (s *State) GossipComplete() bool { return s.full == int64(s.n) }
@@ -263,7 +214,7 @@ func Simulate(g *graph.Digraph, p *Protocol, maxRounds int) (Result, error) {
 }
 
 // SimulateBroadcast runs p on g until the item of source reaches every
-// processor, up to maxRounds. It uses the packed frontier backend (one bit
+// processor, up to maxRounds. It uses the FrontierState backend (one bit
 // per vertex) executing the compiled schedule.
 func SimulateBroadcast(g *graph.Digraph, p *Protocol, source, maxRounds int) (Result, error) {
 	if err := p.Validate(g); err != nil {

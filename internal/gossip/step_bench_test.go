@@ -1,7 +1,7 @@
 // Hot-path benchmarks and invariants for the flat double-buffered gossip
-// core: Step must not allocate in steady state, the sharded Step must be
-// byte-identical to the serial one, and the packed frontier backend must
-// agree with the full bitset state on broadcasts. The benchmarks live in an
+// core: the arc-slice oracle Step must not allocate in steady state, and
+// the one-bit-per-vertex frontier backend must agree with the full bitset
+// state on broadcasts. The benchmarks live in an
 // external test package so they can drive the core through real protocols
 // (importing repro/internal/protocols from package gossip would cycle).
 package gossip_test
@@ -16,9 +16,9 @@ import (
 	"repro/internal/topology"
 )
 
-// BenchmarkStep measures the serial hot path on the 4096-vertex de Bruijn
+// BenchmarkStep measures the arc-slice oracle on the 4096-vertex de Bruijn
 // graph DB(2,12) and proves it allocates nothing: the double-buffered word
-// array replaces the old per-round map of cloned bitsets.
+// array every stepping path shares needs no per-round buffers.
 func BenchmarkStep(b *testing.B) {
 	db := topology.NewDeBruijn(2, 12)
 	p := protocols.PeriodicHalfDuplex(db.G)
@@ -30,29 +30,12 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkStepSharded is BenchmarkStep with the worker pool attached —
-// the configuration the engine selects above its shard threshold. Compare
-// with BenchmarkStep to see the speedup on ≥4096-vertex instances.
-func BenchmarkStepSharded(b *testing.B) {
-	db := topology.NewDeBruijn(2, 12)
-	p := protocols.PeriodicHalfDuplex(db.G)
-	st := gossip.NewState(db.G.N())
-	pool := gossip.NewPool(runtime.GOMAXPROCS(0))
-	defer pool.Close()
-	st.UsePool(pool)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Step(p.Round(i))
-	}
-}
-
 // BenchmarkCompiledStep measures the compiled hot path on the 4096-vertex
 // hypercube H(12) running the dimension-exchange schedule: the schedule is
 // lowered once into a Program (precomputed word offsets, coalesced sender
 // copy-spans — here a single whole-array memcpy per round, dst-sorted
-// merges) and Step executes the IR with zero allocations. Compare with
-// BenchmarkUncompiledStep, the slice-interpreted Step on the identical
+// merges) and StepProgram executes the IR with zero allocations. Compare
+// with BenchmarkUncompiledStep, the arc-slice oracle on the identical
 // workload, for the compile-once win; BenchmarkStep (DB(2,12), a ~4×
 // smaller per-round workload) remains the cross-PR regression anchor.
 func BenchmarkCompiledStep(b *testing.B) {
@@ -73,7 +56,7 @@ func BenchmarkCompiledStep(b *testing.B) {
 
 // BenchmarkUncompiledStep is the slice-interpreted baseline for
 // BenchmarkCompiledStep: the same hypercube d=12 exchange schedule driven
-// through State.Step on raw []graph.Arc rounds.
+// through the State.Step oracle on raw []graph.Arc rounds.
 func BenchmarkUncompiledStep(b *testing.B) {
 	hc := topology.Hypercube(12)
 	p := protocols.HypercubeExchange(12)
@@ -142,7 +125,8 @@ func BenchmarkCompletionCertificate(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontierStep measures the packed broadcast backend on DB(2,12).
+// BenchmarkFrontierStep measures the FrontierState.Step oracle (one bit
+// per vertex) on DB(2,12).
 func BenchmarkFrontierStep(b *testing.B) {
 	db := topology.NewDeBruijn(2, 12)
 	p := protocols.BroadcastSchedule(db.G, 0)
@@ -154,8 +138,8 @@ func BenchmarkFrontierStep(b *testing.B) {
 	}
 }
 
-// TestStepZeroAlloc pins the satellite requirement: a steady-state Step
-// performs zero allocations (serial and sharded alike).
+// TestStepZeroAlloc: a steady-state Step of the arc-slice oracle performs
+// zero allocations, so the benchmarks that drive it measure only stepping.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -171,62 +155,6 @@ func TestStepZeroAlloc(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("serial Step allocates %v objects per round, want 0", got)
 	}
-
-	sharded := gossip.NewState(db.G.N())
-	pool := gossip.NewPool(4)
-	defer pool.Close()
-	sharded.UsePool(pool)
-	r = 0
-	if got := testing.AllocsPerRun(50, func() {
-		sharded.Step(p.Round(r))
-		r++
-	}); got != 0 {
-		t.Errorf("sharded Step allocates %v objects per round, want 0", got)
-	}
-}
-
-// TestShardedStepMatchesSerial: the sharded core is byte-identical to the
-// serial one after every round, for worker counts 1..8.
-func TestShardedStepMatchesSerial(t *testing.T) {
-	db := topology.NewDeBruijn(2, 7)
-	p := protocols.PeriodicHalfDuplex(db.G)
-	n := db.G.N()
-
-	serial := gossip.NewState(n)
-	var serialDumps [][]byte
-	for r := 0; !serial.GossipComplete(); r++ {
-		serial.Step(p.Round(r))
-		serialDumps = append(serialDumps, serial.Export())
-	}
-
-	for workers := 1; workers <= 8; workers++ {
-		pool := gossip.NewPool(workers)
-		st := gossip.NewState(n)
-		st.UsePool(pool)
-		for r := 0; r < len(serialDumps); r++ {
-			st.Step(p.Round(r))
-			if !bytes.Equal(st.Export(), serialDumps[r]) {
-				t.Fatalf("workers=%d: state diverged from serial at round %d", workers, r+1)
-			}
-			if st.TotalKnowledge() != countBits(serialDumps[r]) {
-				t.Fatalf("workers=%d: incremental knowledge counter drifted at round %d", workers, r+1)
-			}
-		}
-		if !st.GossipComplete() {
-			t.Fatalf("workers=%d: sharded run did not complete with the serial schedule", workers)
-		}
-		pool.Close()
-	}
-}
-
-func countBits(dump []byte) int {
-	c := 0
-	for _, b := range dump {
-		for ; b != 0; b &= b - 1 {
-			c++
-		}
-	}
-	return c
 }
 
 // TestFrontierMatchesBroadcastState: the packed frontier backend agrees

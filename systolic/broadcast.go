@@ -186,9 +186,9 @@ type BroadcastAllReport struct {
 // the destination-major in-neighbor CSR of its digraph; an implicit
 // network over its generator, which computes arcs on the fly and touches
 // only O(n) frontier memory. A materialized network carrying a generator
-// is scanned through the generator when WithImplicitScan forces it or when
-// the CSR would not fit a WithMaxMemory cap. Reports and errors are
-// byte-identical whichever source the scan walks.
+// is scanned through the generator when the CSR would not fit a
+// WithMaxMemory cap. Reports and errors are byte-identical whichever source
+// the scan walks.
 func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error) {
 	cfg := newConfig(opts)
 	sources, explicit, err := scanSources(net, cfg.sources)
@@ -212,18 +212,13 @@ func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*Br
 }
 
 // pickScanSource chooses the arc source one scan floods, by memory alone:
-// the generator when WithImplicitScan forces it or the network is
-// implicit (PlainImplicit and ClassifiedImplicit are the only constructors
-// of G == nil, and both attach one), otherwise the digraph's in-neighbor
-// CSR. The WithMaxMemory guard rail demotes a scan whose CSR would exceed
-// the cap to the generator when that fits, and fails it with
-// ErrMemoryBudget when nothing does.
+// the generator when the network is implicit (G == nil; PlainImplicit and
+// ClassifiedImplicit attach one), otherwise the digraph's in-neighbor CSR.
+// The WithMaxMemory guard rail demotes a scan whose CSR would exceed the
+// cap to the generator when that fits, and fails it with ErrMemoryBudget
+// when nothing does.
 func pickScanSource(net *Network, nsrc int, cfg config) (ArcSource, error) {
-	if cfg.implicitScan && net.Gen == nil {
-		return nil, fmt.Errorf("systolic: broadcast-all on %s: %w: WithImplicitScan needs a generator-backed network",
-			net.Name, ErrBadParam)
-	}
-	useGen := cfg.implicitScan || net.Implicit()
+	useGen := net.Implicit()
 	if cfg.maxMemory > 0 {
 		genBytes, csrBytes := scanFootprint(net, nsrc, cfg)
 		need := csrBytes
@@ -378,7 +373,7 @@ func (sc *floodScan) errUnreachable(source, rounds int) error {
 func (sc *floodScan) run(ctx context.Context) error {
 	n := sc.net.N()
 	batches := (len(sc.sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	if batches == 1 && sc.cfg.workers > 1 && n >= sc.cfg.shardThreshold {
+	if batches == 1 && sc.cfg.workers > 1 && n >= DefaultShardThreshold {
 		return sc.batch(ctx, newFloodStepper(sc.src, n, sc.cfg.workers), 0)
 	}
 	workers := min(sc.cfg.workers, batches)

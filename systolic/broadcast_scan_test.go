@@ -6,9 +6,12 @@
 package systolic
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -19,28 +22,25 @@ import (
 
 // scanBoth runs the scalar oracle and AnalyzeBroadcastAll with opts over
 // both arc sources — the digraph's CSR and, when the network carries one,
-// its generator — serially, on the batch pool and single-batch
-// vertex-sharded, and demands every report deep-equal the oracle's (or
+// its generator (through an implicit view of the network) — serially and
+// on the batch pool, and demands every report deep-equal the oracle's (or
 // every failure carry its exact error text). It returns the oracle's
-// report, nil on failure.
+// report, nil on failure. TestBroadcastScanShardedRounds covers the
+// single-batch vertex-sharded path, which needs larger networks.
 func scanBoth(t *testing.T, net *Network, opts ...Option) *BroadcastAllReport {
 	t.Helper()
 	ctx := context.Background()
 	want, werr := analyzeBroadcastAllScalar(ctx, net, oracleSource(net), opts...)
-	arcSources := []Option{func(*config) {}}
+	views := []*Network{net}
 	if net.Gen != nil {
-		arcSources = append(arcSources, WithImplicitScan())
+		views = append(views, implicitView(net))
 	}
-	modes := [][]Option{
-		{WithWorkers(1)},
-		{WithWorkers(4)},
-		{WithWorkers(4), WithShardThreshold(1)},
-	}
-	for si, src := range arcSources {
+	modes := [][]Option{{WithWorkers(1)}, {WithWorkers(4)}}
+	for si, view := range views {
 		for mi, mode := range modes {
 			// Caller options come last, so an explicit WithWorkers wins.
-			all := append(append(append([]Option(nil), mode...), src), opts...)
-			got, err := AnalyzeBroadcastAll(ctx, net, all...)
+			all := append(append([]Option(nil), mode...), opts...)
+			got, err := AnalyzeBroadcastAll(ctx, view, all...)
 			if (err == nil) != (werr == nil) {
 				t.Fatalf("%s source %d mode %d: packed err %v, oracle err %v", net.Name, si, mi, err, werr)
 			}
@@ -57,6 +57,67 @@ func scanBoth(t *testing.T, net *Network, opts ...Option) *BroadcastAllReport {
 		}
 	}
 	return want
+}
+
+// implicitView returns net without its digraph, so scans and
+// certifications flood its generator. Name and degree parameter are
+// unchanged, so reports and error text equal those over the digraph.
+func implicitView(net *Network) *Network {
+	imp := *net
+	imp.G = nil
+	return &imp
+}
+
+// newOneWayPath builds the directed path 0 → 1 → … → n−1, carrying both
+// its digraph and the digraph's arc source as generator. Every source's
+// frontier stalls at the end of the path.
+func newOneWayPath(n int) *Network {
+	g := graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		g.AddArc(v, v+1)
+	}
+	net := Plain("one-way-path", g)
+	net.Gen = graph.NewDigraphSource(g)
+	return net
+}
+
+// gatherProbe is an arc source with the OrGatherer fast path that records
+// the goroutines gathering from it. A sharded round gathers on the calling
+// goroutine and on the flood workers, so two or more recorded goroutines
+// prove the scan split its rounds into more than one shard.
+type gatherProbe struct {
+	ArcSource // must implement graph.OrGatherer
+	mu        sync.Mutex
+	seen      map[string]bool
+}
+
+func (p *gatherProbe) OrInChunk(lo, hi int, table, out []uint64) {
+	var buf [64]byte
+	id := string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1]) // "goroutine <id> [...]"
+	p.mu.Lock()
+	p.seen[id] = true
+	p.mu.Unlock()
+	p.ArcSource.(graph.OrGatherer).OrInChunk(lo, hi, table, out)
+}
+
+func (p *gatherProbe) goroutines() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.seen)
+}
+
+// probedViews returns implicit views of net flooding, through a
+// gatherProbe each, the digraph's CSR and the network's generator.
+func probedViews(net *Network) ([]*Network, []*gatherProbe) {
+	var views []*Network
+	var probes []*gatherProbe
+	for _, src := range []ArcSource{graph.NewDigraphSource(net.G), net.Gen} {
+		pr := &gatherProbe{ArcSource: src, seen: map[string]bool{}}
+		view := implicitView(net)
+		view.Gen = pr
+		views, probes = append(views, view), append(probes, pr)
+	}
+	return views, probes
 }
 
 // TestBroadcastScanDifferentialAllKinds: for every registered kind the
@@ -138,6 +199,41 @@ func TestBroadcastScanMultiBatchRagged(t *testing.T) {
 	for i, s := range sub {
 		if rep.Rounds[i] != 8 {
 			t.Errorf("source %d: %d rounds, want the hypercube diameter 8", s, rep.Rounds[i])
+		}
+	}
+}
+
+// TestBroadcastScanShardedRounds: a single batch on a network of several
+// GenChunkVerts chunks, past DefaultShardThreshold, splits every round into
+// vertex ranges across the workers. Over both arc sources the sharded scan
+// matches the oracle — on a stalled one-way path, its exact error text —
+// and probes on both sources see the rounds gathered on more than one
+// goroutine, so the case cannot quietly run serially.
+func TestBroadcastScanShardedRounds(t *testing.T) {
+	hc, err := New("hypercube", Dimension(13)) // 8192 vertices: 2 chunks
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := newOneWayPath(2*graph.GenChunkVerts + 1) // 3 chunks
+	tail := make([]int, gossip.PackedLanes)
+	for i := range tail {
+		tail[i] = path.N() - 2*gossip.PackedLanes + 2*i // stall within 128 rounds
+	}
+	for _, c := range []struct {
+		net     *Network
+		sources []int
+	}{{hc, subset64(hc.N())}, {path, tail}} {
+		want := scanBoth(t, c.net, WithSources(c.sources))
+		_, werr := AnalyzeBroadcastAll(context.Background(), c.net, WithSources(c.sources), WithWorkers(1))
+		probed, probes := probedViews(c.net)
+		for i, view := range probed {
+			got, err := AnalyzeBroadcastAll(context.Background(), view, WithSources(c.sources), WithWorkers(4))
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("%s probe %d: sharded scan %+v, %v; serial %+v, %v", c.net.Name, i, got, err, want, werr)
+			}
+			if g := probes[i].goroutines(); g < 2 {
+				t.Errorf("%s probe %d: rounds gathered on %d goroutine(s), want a sharded step", c.net.Name, i, g)
+			}
 		}
 	}
 }

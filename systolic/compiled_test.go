@@ -1,7 +1,7 @@
 // Differential coverage for the compiled execution pipeline at the public
 // layer: for every registered topology kind and every communication mode
 // with a catalog protocol, a session executing the compiled Program must
-// reproduce the slice-interpreted run exactly — same rounds, same report,
+// reproduce a naive reference run exactly — same rounds, same report,
 // same checkpoints — and sessions built from one shared Program must be
 // indistinguishable from sessions that compiled privately.
 package systolic
@@ -10,11 +10,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/gossip"
 )
 
 // smallParams instantiates every registered kind at a deliberately small
@@ -51,10 +50,10 @@ var modeProtocols = []struct {
 	{"greedy-directed", false},
 }
 
-// TestCompiledDifferentialAllKinds runs the compiled session against a
-// slice-interpreted reference for every registered kind × mode pairing and
-// demands byte-identical states after every round, equal completion
-// rounds, and an identical Analyze report. It doubles as the reachability
+// TestCompiledDifferentialAllKinds runs the compiled session against the
+// naive reference interpreter (naive_test.go) for every registered kind ×
+// mode pairing and demands identical knowledge after every stepped chunk,
+// equal completion rounds, and an identical Analyze report. It doubles as the reachability
 // test for every registry entry (shuffle-exchange and ccc included): a
 // kind missing from smallParams fails loudly.
 func TestCompiledDifferentialAllKinds(t *testing.T) {
@@ -78,36 +77,29 @@ func TestCompiledDifferentialAllKinds(t *testing.T) {
 					t.Fatalf("building %s: %v", mp.protocol, err)
 				}
 
-				// Slice-interpreted reference run.
-				n := net.G.N()
-				ref := gossip.NewState(n)
-				var dumps [][]byte
-				for r := 0; !ref.GossipComplete(); r++ {
-					if r >= DefaultRoundBudget {
-						t.Fatal("reference run exhausted the budget")
-					}
-					ref.Step(p.Round(r))
-					dumps = append(dumps, ref.Export())
-				}
-
-				// Compiled session, stepped in randomized chunks.
+				// Compiled session, stepped in randomized chunks; the naive
+				// reference follows round for round.
 				sess, err := NewEngine(net, p, WithWorkers(1))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer sess.Close()
+				ref := newNaiveGossip(net.G.N())
+				refRounds := 0
 				rng := rand.New(rand.NewSource(int64(len(kind) + len(mp.protocol))))
 				ctx := context.Background()
 				for !sess.Done() {
 					if _, err := sess.Step(ctx, 1+rng.Intn(3)); err != nil {
 						t.Fatal(err)
 					}
+					for ; refRounds < sess.Rounds() && !ref.complete(); refRounds++ {
+						ref.step(p.Round(refRounds))
+					}
+					ref.mustMatch(t, sess.st, sess.Rounds())
 				}
-				if sess.Rounds() != len(dumps) {
-					t.Fatalf("compiled session completed in %d rounds, interpreted in %d", sess.Rounds(), len(dumps))
-				}
-				if !bytes.Equal(sess.st.Export(), dumps[len(dumps)-1]) {
-					t.Fatal("compiled final state differs from interpreted state")
+				if !ref.complete() || sess.Rounds() != refRounds {
+					t.Fatalf("compiled session completed in %d rounds, reference in %d (complete %v)",
+						sess.Rounds(), refRounds, ref.complete())
 				}
 
 				// The Analyze report over the compiled run must match a
@@ -125,8 +117,8 @@ func TestCompiledDifferentialAllKinds(t *testing.T) {
 				if !bytes.Equal(j1, j2) {
 					t.Fatalf("report mismatch:\n%s\n%s", j1, j2)
 				}
-				if rep.Measured != len(dumps) {
-					t.Fatalf("report measured %d rounds, interpreted %d", rep.Measured, len(dumps))
+				if rep.Measured != refRounds {
+					t.Fatalf("report measured %d rounds, reference %d", rep.Measured, refRounds)
 				}
 			})
 		}
@@ -212,9 +204,11 @@ func TestCompiledCheckpointDifferential(t *testing.T) {
 
 // TestSharedProgramConcurrentSessions: one compiled Program backing many
 // concurrent sessions (the serving layer's pattern) must give every
-// session the same answer as a private compile, including under sharding.
+// session the same answer as a private compile, including under sharding:
+// the network (hypercube d=11) reaches DefaultShardThreshold, so sessions
+// with more than one worker step on their pools.
 func TestSharedProgramConcurrentSessions(t *testing.T) {
-	net, err := New("hypercube", Dimension(6))
+	net, err := New("hypercube", Dimension(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +232,16 @@ func TestSharedProgramConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sess, err := NewEngineFromProgram(prog, WithWorkers(1+i%4), WithShardThreshold(2))
+			sess, err := NewEngineFromProgram(prog, WithWorkers(1+i%4))
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			defer sess.Close()
+			if (sess.pool != nil) != (i%4 > 0) {
+				errs[i] = fmt.Errorf("%d workers, pool attached = %v", 1+i%4, sess.pool != nil)
+				return
+			}
 			reps[i], errs[i] = sess.Analyze(context.Background())
 		}(i)
 	}

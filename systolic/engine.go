@@ -9,9 +9,9 @@ import (
 )
 
 // DefaultShardThreshold is the vertex count at which a session with more
-// than one worker shards Step across its pool (override with
-// WithShardThreshold). Below it the per-round work is too small to pay for
-// the barrier.
+// than one worker shards Step across its pool, and a single-batch
+// broadcast scan splits its rounds into vertex ranges. Below it the
+// per-round work is too small to pay for the barrier.
 const DefaultShardThreshold = 2048
 
 // Session is a resumable simulation of one protocol on one network. Unlike
@@ -33,7 +33,7 @@ type Session struct {
 	prog      *gossip.Program       // compiled schedule IR, shared by every backend
 	grun      *gossip.GenRun        // generator-program scratch; non-nil streams rounds
 	st        *gossip.State         // gossip backend
-	fr        *gossip.FrontierState // broadcast backend (packed frontier)
+	fr        *gossip.FrontierState // broadcast backend (one bit per vertex)
 	pool      *gossip.Pool
 
 	budget   int
@@ -45,10 +45,10 @@ type Session struct {
 
 // NewEngine validates p on the network, compiles it once into the shared
 // schedule IR (see Program), and returns a session positioned at round
-// zero, ready to Step or Run. The round budget, trace observer, worker
-// count and shard threshold come from the options; with more than one
-// worker and at least WithShardThreshold vertices the session shards every
-// Step across a persistent pool (results are byte-identical to serial).
+// zero, ready to Step or Run. The round budget, trace observer and worker
+// count come from the options; with more than one worker and at least
+// DefaultShardThreshold vertices the session shards every Step across a
+// persistent pool (results are byte-identical to serial).
 // Callers that already hold a compiled Program use NewEngineFromProgram
 // and skip the validate+compile work entirely.
 func NewEngine(net *Network, p *Protocol, opts ...Option) (*Session, error) {
@@ -60,7 +60,7 @@ func NewEngine(net *Network, p *Protocol, opts ...Option) (*Session, error) {
 }
 
 // NewBroadcastEngine builds the BFS-tree broadcast schedule from source and
-// returns a session that measures its dissemination on the packed frontier
+// returns a session that measures its dissemination on the frontier
 // backend (one bit per vertex — broadcasts never pay the gossip state's
 // n-words-per-vertex cost).
 func NewBroadcastEngine(net *Network, source int, opts ...Option) (*Session, error) {

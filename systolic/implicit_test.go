@@ -57,8 +57,8 @@ func genEligibleNets(t *testing.T) []*Network {
 // TestGeneratorKernelsMatchCSR is the scan differential: on every
 // generator-eligible kind, full scans over the generator — serial, pooled
 // and the scalar oracle — produce reports deep-equal to the serial scan
-// over the digraph's CSR, as does the single-batch vertex-sharded path
-// (forced via WithShardThreshold).
+// over the digraph's CSR. (These networks are one chunk wide; the
+// vertex-sharded path is TestBroadcastScanShardedRounds.)
 func TestGeneratorKernelsMatchCSR(t *testing.T) {
 	ctx := context.Background()
 	for _, net := range genEligibleNets(t) {
@@ -66,15 +66,16 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CSR scan: %v", net.Name, err)
 		}
+		imp := implicitView(net)
 		variants := []struct {
 			name string
 			scan func() (*BroadcastAllReport, error)
 		}{
 			{"gen-packed-serial", func() (*BroadcastAllReport, error) {
-				return AnalyzeBroadcastAll(ctx, net, WithImplicitScan(), WithWorkers(1))
+				return AnalyzeBroadcastAll(ctx, imp, WithWorkers(1))
 			}},
 			{"gen-packed-parallel", func() (*BroadcastAllReport, error) {
-				return AnalyzeBroadcastAll(ctx, net, WithImplicitScan(), WithWorkers(4))
+				return AnalyzeBroadcastAll(ctx, imp, WithWorkers(4))
 			}},
 			{"gen-scalar", func() (*BroadcastAllReport, error) {
 				return analyzeBroadcastAllScalar(ctx, net, net.Gen)
@@ -89,28 +90,6 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 				t.Errorf("%s/%s diverges from CSR:\n  gen: %+v\n  csr: %+v", net.Name, v.name, got, ref)
 			}
 		}
-		// Single-batch subset: 64 sources in one batch exercises the
-		// vertex-range sharded step (shard threshold forced to 1).
-		nsrc := 64
-		if nsrc > net.N() {
-			nsrc = net.N()
-		}
-		sources := make([]int, nsrc)
-		for i := range sources {
-			sources[i] = i
-		}
-		sharded, err := AnalyzeBroadcastAll(ctx, net,
-			WithSources(sources), WithImplicitScan(), WithWorkers(4), WithShardThreshold(1))
-		if err != nil {
-			t.Fatalf("%s/sharded: %v", net.Name, err)
-		}
-		csrSub, err := AnalyzeBroadcastAll(ctx, net, WithSources(sources), WithWorkers(1))
-		if err != nil {
-			t.Fatalf("%s/csr-subset: %v", net.Name, err)
-		}
-		if !reflect.DeepEqual(sharded, csrSub) {
-			t.Errorf("%s: sharded gen subset diverges from CSR:\n  gen: %+v\n  csr: %+v", net.Name, sharded, csrSub)
-		}
 	}
 }
 
@@ -122,16 +101,15 @@ func TestGeneratorTraceMatchesCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := func(opts ...Option) []scanEvent {
+	trace := func(net *Network) []scanEvent {
 		tr := &scanTrace{}
-		if _, err := AnalyzeBroadcastAll(context.Background(), net,
-			append(opts, WithTrace(tr), WithWorkers(1))...); err != nil {
+		if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(tr), WithWorkers(1)); err != nil {
 			t.Fatal(err)
 		}
 		return tr.events
 	}
-	csr := trace()
-	gen := trace(WithImplicitScan())
+	csr := trace(net)
+	gen := trace(implicitView(net))
 	if !reflect.DeepEqual(gen, csr) {
 		t.Fatalf("generator trace diverges from CSR:\n  gen: %v\n  csr: %v", gen, csr)
 	}
@@ -228,18 +206,6 @@ func TestImplicitGuards(t *testing.T) {
 	}
 }
 
-// TestImplicitScanNeedsGenerator: WithImplicitScan on a network without a
-// generator is ErrBadParam, not a panic.
-func TestImplicitScanNeedsGenerator(t *testing.T) {
-	net, err := New("path", Nodes(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AnalyzeBroadcastAll(context.Background(), net, WithImplicitScan()); !errors.Is(err, ErrBadParam) {
-		t.Fatalf("WithImplicitScan on path err = %v, want ErrBadParam", err)
-	}
-}
-
 // TestMaxMemoryGuardRail pins the WithMaxMemory source demotion: a cap the
 // CSR cannot fit falls back to the generator (same report), and a cap
 // nothing fits fails with ErrMemoryBudget.
@@ -318,13 +284,31 @@ func TestCertifyBroadcastImplicit(t *testing.T) {
 	if trunc.Complete || trunc.Broadcast.Applicable || trunc.Measured != 3 {
 		t.Errorf("truncated certificate: %+v", trunc)
 	}
-	// Sharded single-source path agrees with the serial one.
-	sharded, err := CertifyBroadcast(context.Background(), net, 5, WithWorkers(4), WithShardThreshold(1))
+	// Past DefaultShardThreshold the single source's rounds are split into
+	// vertex ranges across the workers (hypercube d=13: two chunks); the
+	// certificate equals the serial one, and a probe sees the shards.
+	hc, err := New("hypercube", Dimension(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Measured != cert.Measured || sharded.Broadcast.CBound != cert.Broadcast.CBound {
-		t.Errorf("sharded certify diverges: %+v vs %+v", sharded, cert)
+	serial, err := CertifyBroadcast(context.Background(), implicitView(hc), 5, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed, probes := probedViews(hc)
+	for i, view := range append([]*Network{implicitView(hc)}, probed...) {
+		sharded, err := CertifyBroadcast(context.Background(), view, 5, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sharded, serial) {
+			t.Errorf("view %d: sharded certify diverges:\n  sharded: %+v\n  serial:  %+v", i, sharded, serial)
+		}
+	}
+	for i, pr := range probes {
+		if g := pr.goroutines(); g < 2 {
+			t.Errorf("probe %d: rounds gathered on %d goroutine(s), want a sharded step", i, g)
+		}
 	}
 }
 
@@ -337,7 +321,7 @@ func TestImplicitScanUnreachable(t *testing.T) {
 	if csr != nil || !errors.Is(csrErr, ErrUnreachable) {
 		t.Fatalf("CSR: report %v err %v, want ErrUnreachable", csr, csrErr)
 	}
-	gen, genErr := AnalyzeBroadcastAll(context.Background(), g, WithImplicitScan())
+	gen, genErr := AnalyzeBroadcastAll(context.Background(), implicitView(g))
 	if gen != nil || !errors.Is(genErr, ErrUnreachable) {
 		t.Fatalf("generator: report %v err %v, want ErrUnreachable", gen, genErr)
 	}

@@ -41,22 +41,19 @@ type ScanObserver interface {
 }
 
 type config struct {
-	budget         int
-	observer       Observer
-	workers        int
-	shardThreshold int
-	delayPlan      *DelayPlan
-	source         int
-	sources        []int
-	implicitScan   bool
-	maxMemory      int64
+	budget    int
+	observer  Observer
+	workers   int
+	delayPlan *DelayPlan
+	source    int
+	sources   []int
+	maxMemory int64
 }
 
 func newConfig(opts []Option) config {
 	cfg := config{
-		budget:         DefaultRoundBudget,
-		workers:        runtime.GOMAXPROCS(0),
-		shardThreshold: DefaultShardThreshold,
+		budget:  DefaultRoundBudget,
+		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -66,9 +63,6 @@ func newConfig(opts []Option) config {
 	}
 	if cfg.workers < 1 {
 		cfg.workers = 1
-	}
-	if cfg.shardThreshold < 1 {
-		cfg.shardThreshold = 1
 	}
 	return cfg
 }
@@ -87,15 +81,10 @@ func WithTrace(o Observer) Option { return func(c *config) { c.observer = o } }
 
 // WithWorkers overrides the worker-pool size (default GOMAXPROCS): the
 // number of concurrent jobs in Sweep/SweepStream, and the number of
-// stepping goroutines a session shards across once the network reaches the
-// shard threshold. WithWorkers(1) forces serial execution everywhere.
+// stepping goroutines a session or single-batch scan shards across once the
+// network reaches DefaultShardThreshold vertices. WithWorkers(1) forces
+// serial execution everywhere.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithShardThreshold overrides the vertex count at which a multi-worker
-// session shards Step across its pool (default DefaultShardThreshold).
-// Results are byte-identical to serial either way; lower it only to force
-// sharding on small instances (tests do).
-func WithShardThreshold(n int) Option { return func(c *config) { c.shardThreshold = n } }
 
 // WithSource selects the broadcast source vertex (default 0) of a session
 // running a generator-backed protocol — those sessions simulate
@@ -114,16 +103,6 @@ func WithSource(v int) Option { return func(c *config) { c.source = v } }
 // rows of a full scan, and is the seam source-sharded cluster scans
 // partition on.
 func WithSources(sources []int) Option { return func(c *config) { c.sources = sources } }
-
-// WithImplicitScan forces AnalyzeBroadcastAll to flood over the network's
-// generator even when the network is materialized (it needs an attached
-// generator — ErrBadParam otherwise). Reports and errors are identical to
-// a scan over the digraph; only the footprint differs: the generator
-// computes arcs on the fly, so the scan never builds the digraph's
-// in-neighbor CSR and its working memory is the frontier buffers alone.
-// Without this option only implicit networks, and scans whose CSR would
-// not fit WithMaxMemory, flood over the generator.
-func WithImplicitScan() Option { return func(c *config) { c.implicitScan = true } }
 
 // WithMaxMemory caps the estimated working memory of AnalyzeBroadcastAll
 // in bytes — the guard rail for serving layers that must not let one scan

@@ -155,7 +155,7 @@ func NewEngineFromProgram(pr *Program, opts ...Option) (*Session, error) {
 	}
 	s.st = gossip.NewState(n)
 	s.target = n * n
-	if cfg.workers > 1 && n >= cfg.shardThreshold {
+	if cfg.workers > 1 && n >= DefaultShardThreshold {
 		s.pool = gossip.NewPool(cfg.workers)
 		s.st.UsePool(s.pool)
 	}

@@ -8,6 +8,7 @@ package systolic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -171,22 +172,28 @@ func TestDigraphSourceOrInChunkAllKinds(t *testing.T) {
 
 // TestCertifyBroadcastImplicitUnreachable: implicit certification of a
 // source whose frontier stalls fails with ErrUnreachable — not a truncated
-// certificate, not ErrIncomplete — and names the stall round, serially
-// and with the worker pool.
+// certificate, not ErrIncomplete — and names the stall round, serially and
+// with its rounds sharded across the workers (the path is three
+// GenChunkVerts chunks long, past DefaultShardThreshold).
 func TestCertifyBroadcastImplicitUnreachable(t *testing.T) {
-	// 0 → 1 → 2 with no return arcs: source 1 informs vertex 2, then stalls.
-	g := graph.New(3)
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	net := PlainImplicit("one-way-path", graph.NewDigraphSource(g), 1)
-	want := "systolic: source cannot reach every vertex: certify broadcast on one-way-path from source 1 (frontier stalled after 1 rounds)"
-	for _, opts := range [][]Option{{WithWorkers(1)}, {WithWorkers(4), WithShardThreshold(1)}} {
-		cert, err := CertifyBroadcast(context.Background(), net, 1, opts...)
-		if cert != nil || !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrIncomplete) {
-			t.Fatalf("certificate %+v, err %v: want ErrUnreachable and not ErrIncomplete", cert, err)
+	path := newOneWayPath(2*graph.GenChunkVerts + 1)
+	source := path.N() - 3 // informs the last two vertices, then stalls
+	want := fmt.Sprintf("systolic: source cannot reach every vertex: certify broadcast on one-way-path from source %d (frontier stalled after 2 rounds)", source)
+	probed, probes := probedViews(path)
+	for i, view := range append([]*Network{implicitView(path)}, probed...) {
+		for _, workers := range []int{1, 4} {
+			cert, err := CertifyBroadcast(context.Background(), view, source, WithWorkers(workers))
+			if cert != nil || !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrIncomplete) {
+				t.Fatalf("view %d workers %d: certificate %+v, err %v: want ErrUnreachable and not ErrIncomplete", i, workers, cert, err)
+			}
+			if err.Error() != want {
+				t.Fatalf("view %d workers %d: stalled certification message:\n  got  %q\n  want %q", i, workers, err, want)
+			}
 		}
-		if err.Error() != want {
-			t.Fatalf("stalled certification message:\n  got  %q\n  want %q", err, want)
+	}
+	for i, pr := range probes {
+		if g := pr.goroutines(); g < 2 {
+			t.Errorf("probe %d: rounds gathered on %d goroutine(s), want a sharded step", i, g)
 		}
 	}
 }

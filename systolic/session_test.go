@@ -242,11 +242,19 @@ func TestSessionRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestSessionShardedMatchesSerial: a session sharded across 1..8 workers
-// (threshold forced down so the 64-vertex instance shards) is byte-identical
-// to the serial session after every chunk.
+// TestSessionShardedMatchesSerial: a gossip session sharded across 1..8
+// workers is byte-identical to the serial session after every round. The
+// network (hypercube d=11, 2048 vertices) reaches DefaultShardThreshold,
+// so every multi-worker session really runs on its pool.
 func TestSessionShardedMatchesSerial(t *testing.T) {
-	net, p := sessionNet(t)
+	net, err := New("hypercube", Dimension(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProtocol("periodic-full", net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	serial, err := NewEngine(net, p, WithWorkers(1))
@@ -263,9 +271,12 @@ func TestSessionShardedMatchesSerial(t *testing.T) {
 	}
 
 	for workers := 1; workers <= 8; workers++ {
-		sess, err := NewEngine(net, p, WithWorkers(workers), WithShardThreshold(1))
+		sess, err := NewEngine(net, p, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if (sess.pool != nil) != (workers > 1) {
+			t.Fatalf("workers=%d: session pool attached = %v", workers, sess.pool != nil)
 		}
 		for r := 0; !sess.Done(); r++ {
 			if _, err := sess.Step(ctx, 1); err != nil {
