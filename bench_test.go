@@ -14,6 +14,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/delay"
 	"repro/internal/gossip"
+	"repro/internal/graph"
 	"repro/internal/matrix"
 	"repro/internal/protocols"
 	"repro/internal/search"
@@ -375,12 +376,33 @@ func BenchmarkSimulationEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyGossip measures the greedy matching heuristic on K(2,5).
+// BenchmarkGreedyGossip measures the greedy matching heuristic in its three
+// modes on K(2,5) (n = 48, knowledge in one word per vertex) and on the
+// undirected DB(2,7) (n = 128, two words per vertex).
 func BenchmarkGreedyGossip(b *testing.B) {
-	k := topology.NewKautz(2, 5)
-	for i := 0; i < b.N; i++ {
-		if _, err := protocols.GreedyGossip(k.G, gossip.HalfDuplex, 10000); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		g    *graph.Digraph
+	}{
+		{"kautz-2-5", topology.NewKautz(2, 5).G},
+		{"debruijn-2-7", topology.NewDeBruijn(2, 7).G},
+	} {
+		for _, m := range []struct {
+			name  string
+			build func() (*gossip.Protocol, error)
+		}{
+			{"half", func() (*gossip.Protocol, error) { return protocols.GreedyGossip(c.g, gossip.HalfDuplex, 10000) }},
+			{"directed", func() (*gossip.Protocol, error) { return protocols.GreedyGossip(c.g, gossip.Directed, 10000) }},
+			{"full", func() (*gossip.Protocol, error) { return protocols.GreedyGossipFullDuplex(c.g, 10000) }},
+		} {
+			b.Run(c.name+"/"+m.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.build(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -100,6 +100,20 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// Connection timeouts of the listening server. A client must finish its
+// request header within readHeaderTimeout, and a keep-alive connection is
+// closed after idleTimeout without a request, so slow or stalled clients
+// cannot pin connections (and their goroutines) indefinitely.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listening server with the connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func run(cfg serve.Config, addr string, drainTimeout time.Duration, pprofOn bool) error {
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -109,7 +123,7 @@ func run(cfg serve.Config, addr string, drainTimeout time.Duration, pprofOn bool
 	if pprofOn {
 		handler = withPprof(handler)
 	}
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := newHTTPServer(addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -25,10 +25,11 @@ func (sep Separator) Valid() bool {
 //	e(s) = max_{0<λ<1, w(λ)≤1} ℓ·(α − log₂ w(λ)) / log₂(1/λ)
 //
 // for an arbitrary norm-bound function w (strictly increasing on (0,1)).
-// It returns the maximizing λ* as well. The maximum is located with a dense
-// log-spaced scan followed by golden-section refinement; the objective is
-// smooth and unimodal for every w used in the paper, and the scan guards
-// against mistaking a local plateau for the optimum.
+// It returns the maximizing λ* as well. The maximum is located with a scan
+// of 4000 evenly spaced points λ = root·i/4000 over (0, root], root the
+// unit root of w, followed by golden-section refinement around the best
+// one; the objective is smooth and unimodal for every w used in the paper,
+// and the scan guards against mistaking a local plateau for the optimum.
 func SeparatorBound(sep Separator, w func(float64) float64) (e, lambdaStar float64) {
 	return SeparatorBoundWithGrid(sep, w, 4000)
 }
