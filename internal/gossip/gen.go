@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/graph"
@@ -13,7 +14,9 @@ import (
 // hypercube batch (16.7M nodes, ~400M arcs) scan in well under 1 GiB.
 
 // StepFloodGenRange computes the next-round words for destinations
-// [lo, hi) only: one vertex-range shard of a flooding step. Shards of one
+// [lo, hi) only: one vertex-range shard of a pulling flooding step, which
+// gathers every destination's in-neighbor words and does no other
+// per-vertex work (StepFloodPush is the other direction). Shards of one
 // round partition [0, n) across workers (disjoint writes to the next
 // buffer, read-only current buffer); a FloodGen with arc scratch (ArcBuf
 // non-nil) must not serve two shards at once. When every shard has
@@ -66,9 +69,11 @@ func (f *PackedFrontier) StepFloodGenRange(fg *graph.FloodGen, lo, hi int) (and,
 
 // CommitStep publishes a round stepped through StepFloodGenRange by
 // swapping the buffers. Every vertex must have been covered by exactly one
-// range since the last commit.
+// range since the last commit. The round listed nothing, so the next one
+// pulls unless ListChanged lists its changes.
 func (f *PackedFrontier) CommitStep() {
 	f.cur, f.next = f.next, f.cur
+	f.listed = -1
 }
 
 // StepFloodGen advances every lane one flooding round: each vertex word
@@ -85,4 +90,75 @@ func (f *PackedFrontier) StepFloodGen(fg *graph.FloodGen) (complete, changed uin
 	and, ch, informed := f.StepFloodGenRange(fg, 0, f.n)
 	f.CommitStep()
 	return and & f.full, ch & f.full, informed
+}
+
+// StepFloodPush advances every lane one flooding round by pushing from the
+// listed vertices (Listed must hold): those the previous round changed.
+// Flooding only adds bits, and a vertex's older bits reached its
+// out-neighbors a round earlier, so the round is
+//
+//	next[v] = cur[v] | OR over in-neighbors u of (cur[u] &^ prev[u]),
+//
+// bit for bit what StepFloodGen gathers. The write buffer holds prev, and
+// differs from cur only at listed vertices, so the round first syncs
+// next[u] = cur[u] for each listed u, keeping the delta. It then ORs each
+// delta into the words of u's out-neighbors, tallying the changed lanes and
+// added bits and listing every vertex whose word changes for the round
+// after (the list is dropped once it would exceed PushCap). Last, one
+// sequential AND pass over the lanes that changed but were not complete
+// finds the completions, stopping as soon as none is left.
+//
+// done must be the complete mask the previous round returned (0 after
+// Reset). The results are StepFloodGen's, with the informed pairs the
+// round added in place of the informed total. fg must carry arc scratch
+// (graph.ShardFloodGen), also on the OrGatherer fast path.
+//
+//gossip:hotpath
+func (f *PackedFrontier) StepFloodPush(fg *graph.FloodGen, done uint64) (complete, changed uint64, added int) {
+	cur, nxt := f.cur, f.next
+	list, delta := f.ids[:f.listed], f.delta[:f.listed]
+	in, out := f.half, f.half^32
+	for i, e := range list {
+		u := uint32(e >> in)
+		w := cur[u]
+		delta[i] = w ^ nxt[u]
+		nxt[u] = w
+	}
+	src, buf := fg.Src(), fg.ArcBuf()
+	ids := f.ids
+	keep := uint64(math.MaxUint32) << in // the half still being pushed
+	m := 0
+	for i := range list {
+		d := delta[i]
+		k := src.OutArcs(int(uint32(list[i]>>in)), buf)
+		for _, v := range buf[:k] {
+			old := nxt[v]
+			w := old | d
+			if w == old {
+				continue
+			}
+			nxt[v] = w
+			changed |= w ^ old
+			added += bits.OnesCount64(w ^ old)
+			if old == cur[v] { // v's first change this round
+				if m < len(ids) {
+					ids[m] = ids[m]&keep | uint64(uint32(v))<<out
+				}
+				m++
+			}
+		}
+	}
+	f.listed, f.half = m, out
+	if m > len(ids) {
+		f.listed = -1
+	}
+	and := changed &^ done
+	for _, w := range nxt {
+		if and == 0 {
+			break
+		}
+		and &= w
+	}
+	f.cur, f.next = nxt, cur
+	return (done | and) & f.full, changed, added
 }

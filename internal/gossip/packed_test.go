@@ -3,6 +3,8 @@ package gossip
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -157,8 +159,9 @@ func TestPackedFrontierReset(t *testing.T) {
 }
 
 // TestPackedStepZeroAlloc pins the packed step's zero-allocation contract
-// over a digraph's CSR gather (the gossipvet hotalloc analyzer enforces it
-// statically; this pins the runtime behavior).
+// over a digraph's CSR gather, and the push round's, listing included (the
+// gossipvet hotalloc analyzer enforces it statically; this pins the
+// runtime behavior).
 func TestPackedStepZeroAlloc(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(2)), 256, 512)
 	fg := digraphFlood(g)
@@ -173,6 +176,104 @@ func TestPackedStepZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("StepFloodGen allocated %.1f times per step, want 0", allocs)
+	}
+
+	src := graph.NewDigraphSource(g)
+	push := graph.ShardFloodGen(src, graph.ArcScratch(src, 1), 0)
+	pushes := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		pf.Reset(sources[:2])
+		for r := 0; r < 3; r++ {
+			if pf.Listed() {
+				pf.StepFloodPush(&push, 0)
+				pushes++
+			} else {
+				pf.StepFloodGen(fg)
+				pf.ListChanged()
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("push rounds allocated %.1f times per batch, want 0", allocs)
+	}
+	if pushes == 0 {
+		t.Fatal("no push round ran")
+	}
+}
+
+// TestStepFloodPushMatchesPull: pushing from the listed vertices computes
+// the pull round bit for bit — triples, words and the list of changed
+// vertices — whether the list comes from Reset, from ListChanged after a
+// pull round or from the previous push round, on random digraphs with
+// duplicate sources and lists that overflow PushCap.
+func TestStepFloodPushMatchesPull(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(600)
+		g := randDigraph(rng, n, rng.Intn(2*n))
+		src := graph.NewDigraphSource(g)
+		push := graph.ShardFloodGen(src, graph.ArcScratch(src, 1), 0)
+		fg := digraphFlood(g)
+		sources := make([]int, 1+rng.Intn(PackedLanes))
+		for i := range sources {
+			sources[i] = rng.Intn(n)
+		}
+		got, want := NewPackedFrontier(n), NewPackedFrontier(n)
+		got.Reset(sources)
+		want.Reset(sources)
+		var done uint64
+		pushes := 0
+		for round := 1; round <= n+1; round++ {
+			listed := got.Listed()
+			var complete, changed uint64
+			var informed int
+			if listed {
+				var added int
+				complete, changed, added = got.StepFloodPush(&push, done)
+				informed = want.InformedCount() + added
+				pushes++
+			} else {
+				complete, changed, informed = got.StepFloodGen(fg)
+			}
+			wc, wch, wi := want.StepFloodGen(fg)
+			if complete != wc || changed != wch || informed != wi {
+				t.Fatalf("trial %d round %d (push %v): (%x, %x, %d), pull (%x, %x, %d)",
+					trial, round, listed, complete, changed, informed, wc, wch, wi)
+			}
+			for v := range n {
+				if got.cur[v] != want.cur[v] {
+					t.Fatalf("trial %d round %d (push %v): vertex %d word %x, pull %x", trial, round, listed, v, got.cur[v], want.cur[v])
+				}
+			}
+			if got.Listed() {
+				// The list a push round built is exactly the changed
+				// vertices, in some order.
+				var fromPush []int
+				for _, e := range got.ids[:got.listed] {
+					fromPush = append(fromPush, int(uint32(e>>got.half)))
+				}
+				if got.ListChanged(); !got.Listed() {
+					t.Fatalf("trial %d round %d: listed %d vertices but ListChanged overflows", trial, round, len(fromPush))
+				}
+				var fromPass []int
+				for _, e := range got.ids[:got.listed] {
+					fromPass = append(fromPass, int(uint32(e>>got.half)))
+				}
+				sort.Ints(fromPush)
+				if !slices.Equal(fromPush, fromPass) {
+					t.Fatalf("trial %d round %d: push listed %v, changed %v", trial, round, fromPush, fromPass)
+				}
+			} else if rng.Intn(2) == 0 {
+				got.ListChanged()
+			}
+			done = complete
+			if changed == 0 {
+				break
+			}
+		}
+		if pushes == 0 && n >= 2*PushDivisor*len(sources) {
+			t.Fatalf("trial %d: n=%d, %d sources, no push round", trial, n, len(sources))
+		}
 	}
 }
 

@@ -52,23 +52,56 @@ type OrGatherer interface {
 const GenChunkVerts = 4096
 
 // FloodGen is the per-worker view of an ArcSource the flooding kernel
-// walks: the source, its OrGatherer fast path if it has one, and otherwise
-// the per-vertex neighbor scratch InArcs writes into. The source is shared;
-// a FloodGen with scratch serves one worker at a time, while one on the
-// fast path holds none and may be shared too.
+// walks: the source, its OrGatherer fast path if it has one, and the
+// per-vertex neighbor scratch InArcs and OutArcs write into. The source is
+// shared; a FloodGen with scratch serves one worker at a time, while one
+// on the fast path without scratch may be shared too.
 type FloodGen struct {
 	src ArcSource
 	og  OrGatherer // non-nil when src implements the fast path
-	buf []int32    // per-vertex neighbor scratch; nil on the fast path
+	buf []int32    // per-vertex neighbor scratch, DegBound ids; may be nil on the fast path
 }
 
 // NewFloodGen returns a view of src, allocating its fixed scratch once
-// (the subsequent stepping performs zero allocations).
+// (the subsequent stepping performs zero allocations). A source on the
+// OrGatherer fast path gets no scratch; see ShardFloodGen for views that
+// always carry one.
 func NewFloodGen(src ArcSource) *FloodGen {
 	if og, ok := src.(OrGatherer); ok {
 		return &FloodGen{src: src, og: og}
 	}
-	return &FloodGen{src: src, buf: make([]int32, src.DegBound())}
+	fg := ShardFloodGen(src, ArcScratch(src, 1), 0)
+	return &fg
+}
+
+// arcLine is the number of int32 arc ids in a 64-byte cache line.
+const arcLine = 16
+
+// arcStride is the distance, in ids, between consecutive workers' buffers
+// in an ArcScratch block: DegBound rounded up to whole cache lines, plus
+// one spare line.
+func arcStride(src ArcSource) int {
+	return (src.DegBound()+arcLine-1)/arcLine*arcLine + arcLine
+}
+
+// ArcScratch allocates the per-vertex arc scratch of k concurrent workers
+// as one block. Workers write their buffer on every vertex, so buffers on
+// a shared cache line would bounce it between cores on every vertex: each
+// worker's buffer is followed by at least one whole 64-byte line of
+// padding, so no two share a line however the block is aligned.
+// ShardFloodGen cuts worker i's view from it.
+func ArcScratch(src ArcSource, k int) []int32 {
+	return make([]int32, k*arcStride(src))
+}
+
+// ShardFloodGen returns worker i's view of src, with its arc scratch cut
+// from scratch, a block ArcScratch allocated for at least i+1 workers.
+// Unlike NewFloodGen, the view carries scratch on the OrGatherer fast path
+// too: pushing from a frontier walks OutArcs, whatever gathers the pull.
+func ShardFloodGen(src ArcSource, scratch []int32, i int) FloodGen {
+	lo := i * arcStride(src)
+	og, _ := src.(OrGatherer)
+	return FloodGen{src: src, og: og, buf: scratch[lo : lo+src.DegBound() : lo+src.DegBound()]}
 }
 
 // Src returns the underlying source.
@@ -81,7 +114,7 @@ func (fg *FloodGen) N() int { return fg.src.N() }
 func (fg *FloodGen) Gatherer() OrGatherer { return fg.og }
 
 // ArcBuf returns the per-vertex neighbor scratch (DegBound capacity); nil
-// when the source has an OrGatherer fast path.
+// on a NewFloodGen view of a source with the OrGatherer fast path.
 func (fg *FloodGen) ArcBuf() []int32 { return fg.buf }
 
 // DigraphSource is a materialized Digraph as an ArcSource: the arc source

@@ -3,6 +3,7 @@ package graph
 import (
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // sampleDigraph builds a small asymmetric digraph exercising fan-in,
@@ -115,6 +116,54 @@ func TestNewFloodGenGathererPath(t *testing.T) {
 	fg.Gatherer().OrInChunk(2, 4, table, out[:2])
 	if out[0] != 1|2 || out[1] != 1 {
 		t.Errorf("OrInChunk [2, 4): got %v want [3 1]", out)
+	}
+}
+
+// degSource is an ArcSource stub with a given degree bound.
+type degSource struct {
+	ArcSource
+	deg int
+}
+
+func (s degSource) DegBound() int { return s.deg }
+
+// cacheLines returns the first and last 64-byte line buf occupies.
+func cacheLines(buf []int32) (first, last uintptr) {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p / 64, (p + uintptr(4*len(buf)) - 1) / 64
+}
+
+// TestShardFloodGenLines: the views ShardFloodGen cuts from one
+// ArcScratch block hold DegBound ids each, with no spare capacity, and no
+// two of them touch a common cache line, whatever the degree and however
+// the block is aligned (the test shifts it by 0–15 ids); the OrGatherer
+// fast path keeps both its gatherer and its scratch.
+func TestShardFloodGenLines(t *testing.T) {
+	const k = 5
+	for deg := 1; deg <= 40; deg++ {
+		src := degSource{NewDigraphSource(sampleDigraph()), deg}
+		block := ArcScratch(src, k+1)
+		for shift := range arcLine {
+			scratch := block[shift:]
+			var lines [k][2]uintptr
+			for i := range k {
+				fg := ShardFloodGen(src, scratch, i)
+				if buf := fg.ArcBuf(); len(buf) != deg || cap(buf) != deg {
+					t.Fatalf("deg %d view %d: scratch len %d cap %d, want %d", deg, i, len(buf), cap(buf), deg)
+				}
+				lines[i][0], lines[i][1] = cacheLines(fg.ArcBuf())
+				for j := range i {
+					if lines[i][0] <= lines[j][1] && lines[j][0] <= lines[i][1] {
+						t.Fatalf("deg %d shift %d: views %d and %d share a cache line", deg, shift, j, i)
+					}
+				}
+			}
+		}
+	}
+	src := NewDigraphSource(sampleDigraph())
+	fg := ShardFloodGen(src, ArcScratch(src, 1), 0)
+	if fg.Gatherer() == nil || len(fg.ArcBuf()) != src.DegBound() {
+		t.Fatalf("fast-path view: gatherer %v, scratch %d ids", fg.Gatherer(), len(fg.ArcBuf()))
 	}
 }
 

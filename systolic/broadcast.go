@@ -240,14 +240,15 @@ func pickScanSource(net *Network, nsrc int, cfg config) (ArcSource, error) {
 
 // scanFootprint estimates the working bytes of a scan over the generator
 // and over the digraph's CSR: per-worker packed frontier state (two 8-byte
-// knowledge words per vertex) plus, for the CSR, the shared lowering
+// knowledge words per vertex and the 16-byte push-list entries of every
+// PushDivisor-th vertex) plus, for the CSR, the shared lowering
 // (4-byte indptr per vertex, 4-byte source per arc). The estimates are
 // deliberately coarse — they gate WithMaxMemory, they do not meter an
 // allocator.
 func scanFootprint(net *Network, nsrc int, cfg config) (genBytes, csrBytes int64) {
 	n := int64(net.N())
 	batches := int64(nsrc+gossip.PackedLanes-1) / int64(gossip.PackedLanes)
-	genBytes = min(int64(cfg.workers), batches) * 16 * n
+	genBytes = min(int64(cfg.workers), batches) * 16 * (n + n/gossip.PushDivisor)
 	csrBytes = genBytes + 4*(n+1)
 	if net.G != nil {
 		csrBytes += 4 * int64(net.G.M())
@@ -437,7 +438,7 @@ func (sc *floodScan) batch(ctx context.Context, st *floodStepper, b int) error {
 		return nil
 	}
 	pf := &st.pf
-	pf.Reset(batch)
+	st.reset(batch)
 	obs := sc.cfg.observer
 	so, _ := obs.(ScanObserver)
 	var done, stalled uint64
@@ -481,20 +482,25 @@ func (sc *floodScan) batch(ctx context.Context, st *floodStepper, b int) error {
 	return nil
 }
 
-// floodStepper steps one packed frontier over an arc source, each round
-// split into chunk-aligned vertex ranges, one per shard. Shard 0 runs on
-// the calling goroutine and the others on the flood workers, so a round
-// costs one channel handoff per extra shard and allocates nothing.
+// floodStepper steps one packed frontier over an arc source, choosing a
+// direction each round. A pull round gathers into every vertex, split
+// into chunk-aligned vertex ranges, one per shard: shard 0 runs on the
+// calling goroutine and the others on the flood workers, so a round costs
+// one channel handoff per extra shard and allocates nothing. A push round
+// scatters from the vertices the last round changed, on the calling
+// goroutine (gossip.PushDivisor states the rule).
 type floodStepper struct {
-	pf     gossip.PackedFrontier
-	shards []floodShard
-	round  sync.WaitGroup // the current round's shards past 0
+	pf       gossip.PackedFrontier
+	shards   []floodShard
+	round    sync.WaitGroup // the current round's shards past 0
+	done     uint64         // lanes complete after the last round
+	informed int            // informed pairs after the last round
 }
 
-// floodShard is one vertex range of a round and its raw round results
-// (masked only after the fold).
+// floodShard is one vertex range of a pull round and its raw round
+// results (masked only after the fold).
 type floodShard struct {
-	fg           *graph.FloodGen
+	fg           graph.FloodGen
 	lo, hi       int
 	and, changed uint64
 	informed     int
@@ -502,18 +508,17 @@ type floodShard struct {
 }
 
 // newFloodStepper returns a stepper over src for an n-vertex network with
-// up to shards vertex ranges (never more than there are chunks).
+// up to shards vertex ranges (never more than there are chunks). The
+// shards' arc scratch is one padded block, so no two shards write the
+// same cache line.
 func newFloodStepper(src ArcSource, n, shards int) *floodStepper {
 	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
 	k := max(1, min(shards, chunks))
 	st := &floodStepper{pf: *gossip.NewPackedFrontier(n), shards: make([]floodShard, k)}
-	fg := graph.NewFloodGen(src)
+	scratch := graph.ArcScratch(src, k)
 	for i := range st.shards {
-		if i > 0 && fg.ArcBuf() != nil {
-			fg = graph.NewFloodGen(src) // arc scratch is per shard
-		}
 		sh := &st.shards[i]
-		sh.fg = fg
+		sh.fg = graph.ShardFloodGen(src, scratch, i)
 		sh.lo = chunks * i / k * graph.GenChunkVerts
 		sh.hi = min(chunks*(i+1)/k*graph.GenChunkVerts, n)
 	}
@@ -522,14 +527,44 @@ func newFloodStepper(src ArcSource, n, shards int) *floodStepper {
 }
 
 func (sh *floodShard) run(pf *gossip.PackedFrontier) {
-	sh.and, sh.changed, sh.informed = pf.StepFloodGenRange(sh.fg, sh.lo, sh.hi)
+	sh.and, sh.changed, sh.informed = pf.StepFloodGenRange(&sh.fg, sh.lo, sh.hi)
+}
+
+// reset loads a batch; its first round pushes from the sources when they
+// fit the push list.
+func (st *floodStepper) reset(sources []int) {
+	st.pf.Reset(sources)
+	st.done, st.informed = 0, len(sources)
 }
 
 // step advances the frontier one flooding round, returning the kernel
 // triple (complete, changed, informed) masked to the batch's active lanes.
+// It pushes when the last round's changes are listed, and otherwise pulls
+// and lists this round's changes if it added at most PushCap informed
+// pairs (so changed at most PushCap vertices). Both directions compute the
+// same words, so the triples do not depend on the choice.
 //
 //gossip:hotpath
 func (st *floodStepper) step() (complete, changed uint64, informed int) {
+	pf := &st.pf
+	if pf.Listed() {
+		var added int
+		complete, changed, added = pf.StepFloodPush(&st.shards[0].fg, st.done)
+		informed = st.informed + added
+	} else {
+		complete, changed, informed = st.pull()
+		if informed-st.informed <= pf.PushCap() {
+			pf.ListChanged()
+		}
+	}
+	st.done, st.informed = complete, informed
+	return complete, changed, informed
+}
+
+// pull runs one pull round across the shards.
+//
+//gossip:hotpath
+func (st *floodStepper) pull() (complete, changed uint64, informed int) {
 	st.round.Add(len(st.shards) - 1)
 	for i := 1; i < len(st.shards); i++ {
 		floodJobs <- floodJob{st, i}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/gossip"
 	"repro/internal/graph"
 )
 
@@ -90,4 +91,48 @@ func BenchmarkBroadcastAllScalarGen(b *testing.B) { benchScan(b, scalarGen, 12, 
 
 func BenchmarkBroadcastAllPackedGenD16(b *testing.B) {
 	benchScan(b, AnalyzeBroadcastAll, 16, subset64(1<<16), true)
+}
+
+// BenchmarkFloodDirection is the same-run ratio of the direction-optimizing
+// stepper against a pull-only loop: one 64-source batch flooded to
+// completion over the implicit hypercube d=20 and de Bruijn DB(2,19)
+// generators, one shard each, so the ratio is the direction rule's alone.
+func BenchmarkFloodDirection(b *testing.B) {
+	for _, c := range []struct {
+		name, kind string
+		params     []Param
+	}{
+		{"hypercube-d20", "hypercube", []Param{Dimension(20)}},
+		{"debruijn-2-19", "debruijn", []Param{Degree(2), Diameter(19)}},
+	} {
+		net, err := New(c.kind, c.params...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, sources := net.N(), subset64(net.N())
+		b.Run(c.name+"/stepper", func(b *testing.B) {
+			st := newFloodStepper(net.Gen, n, 1)
+			b.ReportAllocs()
+			for b.Loop() {
+				st.reset(sources)
+				for {
+					if complete, changed, _ := st.step(); complete == st.pf.Full() || changed == 0 {
+						break
+					}
+				}
+			}
+		})
+		b.Run(c.name+"/pull", func(b *testing.B) {
+			pf, fg := gossip.NewPackedFrontier(n), graph.NewFloodGen(net.Gen)
+			b.ReportAllocs()
+			for b.Loop() {
+				pf.Reset(sources)
+				for {
+					if complete, changed, _ := pf.StepFloodGen(fg); complete == pf.Full() || changed == 0 {
+						break
+					}
+				}
+			}
+		})
+	}
 }

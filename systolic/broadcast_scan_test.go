@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
@@ -77,6 +78,25 @@ func newOneWayPath(n int) *Network {
 		g.AddArc(v, v+1)
 	}
 	net := Plain("one-way-path", g)
+	net.Gen = graph.NewDigraphSource(g)
+	return net
+}
+
+// newStalledCube builds the hypercube Q_d plus one extra vertex 2^d with a
+// single out-arc into the cube and no in-arc, carrying both its digraph
+// and the digraph's arc source as generator. Flooding from a cube vertex
+// informs the cube through d rounds whose middle ones are dense (so they
+// pull, sharded past DefaultShardThreshold), then stalls short of the
+// extra vertex.
+func newStalledCube(d int) *Network {
+	g := graph.New(1<<d + 1)
+	for v := 0; v < 1<<d; v++ {
+		for i := 0; i < d; i++ {
+			g.AddArc(v, v^(1<<i))
+		}
+	}
+	g.AddArc(1<<d, 0)
+	net := Plain("stalled-cube", g)
 	net.Gen = graph.NewDigraphSource(g)
 	return net
 }
@@ -204,16 +224,19 @@ func TestBroadcastScanMultiBatchRagged(t *testing.T) {
 }
 
 // TestBroadcastScanShardedRounds: a single batch on a network of several
-// GenChunkVerts chunks, past DefaultShardThreshold, splits every round into
-// vertex ranges across the workers. Over both arc sources the sharded scan
-// matches the oracle — on a stalled one-way path, its exact error text —
-// and probes on both sources see the rounds gathered on more than one
-// goroutine, so the case cannot quietly run serially.
+// GenChunkVerts chunks, past DefaultShardThreshold, splits its pull rounds
+// into vertex ranges across the workers. Over both arc sources the sharded
+// scan matches the oracle — on stalled networks, its exact error text —
+// and, on the networks with dense rounds, probes on both sources see the
+// rounds gathered on more than one goroutine, so the case cannot quietly
+// run serially. The one-way path's frontiers stay a vertex wide, so its
+// rounds all push and it gathers nothing.
 func TestBroadcastScanShardedRounds(t *testing.T) {
 	hc, err := New("hypercube", Dimension(13)) // 8192 vertices: 2 chunks
 	if err != nil {
 		t.Fatal(err)
 	}
+	cube := newStalledCube(13)                       // 8193 vertices: 3 chunks
 	path := newOneWayPath(2*graph.GenChunkVerts + 1) // 3 chunks
 	tail := make([]int, gossip.PackedLanes)
 	for i := range tail {
@@ -222,7 +245,8 @@ func TestBroadcastScanShardedRounds(t *testing.T) {
 	for _, c := range []struct {
 		net     *Network
 		sources []int
-	}{{hc, subset64(hc.N())}, {path, tail}} {
+		dense   bool
+	}{{hc, subset64(hc.N()), true}, {cube, subset64(hc.N()), true}, {path, tail, false}} {
 		want := scanBoth(t, c.net, WithSources(c.sources))
 		_, werr := AnalyzeBroadcastAll(context.Background(), c.net, WithSources(c.sources), WithWorkers(1))
 		probed, probes := probedViews(c.net)
@@ -231,7 +255,7 @@ func TestBroadcastScanShardedRounds(t *testing.T) {
 			if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
 				t.Fatalf("%s probe %d: sharded scan %+v, %v; serial %+v, %v", c.net.Name, i, got, err, want, werr)
 			}
-			if g := probes[i].goroutines(); g < 2 {
+			if g := probes[i].goroutines(); c.dense && g < 2 {
 				t.Errorf("%s probe %d: rounds gathered on %d goroutine(s), want a sharded step", c.net.Name, i, g)
 			}
 		}
@@ -477,7 +501,7 @@ func TestFloodStepperAllocs(t *testing.T) {
 	if len(st.shards) != 4 {
 		t.Fatalf("%d shards, want 4", len(st.shards))
 	}
-	st.pf.Reset([]int{0, 5, 77})
+	st.reset([]int{0, 5, 77})
 	if allocs := testing.AllocsPerRun(20, func() { st.step() }); allocs != 0 {
 		t.Fatalf("sharded round allocated %.1f times, want 0", allocs)
 	}
@@ -497,6 +521,42 @@ func TestFloodStepperAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[0] != counts[2] {
 		t.Fatalf("scan allocations vary with the round count or between runs: %v", counts)
+	}
+}
+
+// TestFloodShardScratchLines: the shards of one stepper write their arc
+// scratch on every vertex of a pull round, so no two shards' ArcBuf may
+// touch a common cache line — on the InArcs path (de Bruijn, 4 ids) and on
+// the OrGatherer fast path (hypercube, whose scratch serves push rounds).
+func TestFloodShardScratchLines(t *testing.T) {
+	for _, params := range []struct {
+		kind string
+		p    []Param
+	}{{"debruijn", []Param{Degree(2), Diameter(14)}}, {"hypercube", []Param{Dimension(14)}}} {
+		net, err := New(params.kind, params.p...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newFloodStepper(net.Gen, net.N(), 4)
+		if len(st.shards) != 4 {
+			t.Fatalf("%s: %d shards, want 4", net.Name, len(st.shards))
+		}
+		for i := range st.shards {
+			buf := st.shards[i].fg.ArcBuf()
+			if len(buf) != net.Gen.DegBound() {
+				t.Fatalf("%s shard %d: %d ids of scratch, want %d", net.Name, i, len(buf), net.Gen.DegBound())
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+			hi := lo + uintptr(4*len(buf)) - 1
+			for j := range i {
+				o := st.shards[j].fg.ArcBuf()
+				olo := uintptr(unsafe.Pointer(unsafe.SliceData(o)))
+				ohi := olo + uintptr(4*len(o)) - 1
+				if lo/64 <= ohi/64 && olo/64 <= hi/64 {
+					t.Fatalf("%s: shards %d and %d share a cache line", net.Name, j, i)
+				}
+			}
+		}
 	}
 }
 

@@ -160,8 +160,8 @@ const maxInstanceVertices = 1 << 26
 // maxImplicitVertices bounds implicit (generator-only) instances. The
 // streaming kernels carry only O(n) frontier words, so the ceiling is set
 // by frontier memory, not arcs: 2^28 vertices is 4 GiB of packed frontier
-// (two 8-byte words per vertex) — the practical edge of one scan on a
-// large box.
+// (two 8-byte words per vertex, plus the 0.5-byte push list) — the
+// practical edge of one scan on a large box.
 const maxImplicitVertices = 1 << 28
 
 // maxCompleteVertices caps the complete graph separately: K_n materializes

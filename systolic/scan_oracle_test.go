@@ -173,21 +173,35 @@ func TestDigraphSourceOrInChunkAllKinds(t *testing.T) {
 // TestCertifyBroadcastImplicitUnreachable: implicit certification of a
 // source whose frontier stalls fails with ErrUnreachable — not a truncated
 // certificate, not ErrIncomplete — and names the stall round, serially and
-// with its rounds sharded across the workers (the path is three
-// GenChunkVerts chunks long, past DefaultShardThreshold).
+// with its rounds sharded across the workers. Both networks are three
+// GenChunkVerts chunks long, past DefaultShardThreshold. The one-way
+// path's frontier is one vertex wide, so every round pushes; the stalled
+// cube's middle rounds are dense and pull, and probes on both its arc
+// sources must see them gathered on more than one goroutine.
 func TestCertifyBroadcastImplicitUnreachable(t *testing.T) {
 	path := newOneWayPath(2*graph.GenChunkVerts + 1)
-	source := path.N() - 3 // informs the last two vertices, then stalls
-	want := fmt.Sprintf("systolic: source cannot reach every vertex: certify broadcast on one-way-path from source %d (frontier stalled after 2 rounds)", source)
-	probed, probes := probedViews(path)
-	for i, view := range append([]*Network{implicitView(path)}, probed...) {
-		for _, workers := range []int{1, 4} {
-			cert, err := CertifyBroadcast(context.Background(), view, source, WithWorkers(workers))
-			if cert != nil || !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrIncomplete) {
-				t.Fatalf("view %d workers %d: certificate %+v, err %v: want ErrUnreachable and not ErrIncomplete", i, workers, cert, err)
-			}
-			if err.Error() != want {
-				t.Fatalf("view %d workers %d: stalled certification message:\n  got  %q\n  want %q", i, workers, err, want)
+	cube := newStalledCube(13)
+	pathProbed, _ := probedViews(path)
+	probed, probes := probedViews(cube)
+	for _, c := range []struct {
+		views  []*Network
+		source int
+		stall  int
+	}{
+		{append([]*Network{implicitView(path)}, pathProbed...), path.N() - 3, 2}, // informs the last two vertices, then stalls
+		{append([]*Network{implicitView(cube)}, probed...), 5, 13},
+	} {
+		name := c.views[0].Name
+		want := fmt.Sprintf("systolic: source cannot reach every vertex: certify broadcast on %s from source %d (frontier stalled after %d rounds)", name, c.source, c.stall)
+		for i, view := range c.views {
+			for _, workers := range []int{1, 4} {
+				cert, err := CertifyBroadcast(context.Background(), view, c.source, WithWorkers(workers))
+				if cert != nil || !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrIncomplete) {
+					t.Fatalf("%s view %d workers %d: certificate %+v, err %v: want ErrUnreachable and not ErrIncomplete", name, i, workers, cert, err)
+				}
+				if err.Error() != want {
+					t.Fatalf("%s view %d workers %d: stalled certification message:\n  got  %q\n  want %q", name, i, workers, err, want)
+				}
 			}
 		}
 	}
