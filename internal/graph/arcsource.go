@@ -33,8 +33,9 @@ type ArcSource interface {
 // that implements it OR-folds a word table over in-neighborhoods itself,
 // one chunk of destinations per call, replacing the per-vertex InArcs round
 // trip with a specialized inner loop. An arithmetic generator computes the
-// neighbors in registers (a hypercube chunk is D xors and D loads per
-// vertex); DigraphSource walks its in-neighbor CSR.
+// neighbors in registers (a hypercube chunk folds whole runs of the table,
+// a few sequential streams per pass); DigraphSource walks its in-neighbor
+// CSR.
 type OrGatherer interface {
 	// OrInChunk writes, for each destination v in [lo, hi), the OR of
 	// table[u] over v's in-neighbors u into out[v-lo]. It must not read or

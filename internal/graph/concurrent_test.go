@@ -35,8 +35,8 @@ func TestConcurrentFirstTraversals(t *testing.T) {
 			case 0:
 				checkDist(src, g.BFS(src))
 			case 1:
-				if d := g.DiameterParallel(); d != dim {
-					t.Errorf("DiameterParallel = %d, want %d", d, dim)
+				if d := g.Diameter(); d != dim {
+					t.Errorf("Diameter = %d, want %d", d, dim)
 				}
 			case 2:
 				checkDist(src, g.WeightedDistances(src, graph.UnitWeights(g)))

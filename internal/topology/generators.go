@@ -16,11 +16,12 @@ import (
 // contract: per-vertex scratch lives in fixed-size local arrays, and
 // neighbor ids are written into the caller's buffer by index.
 //
-// The symmetric families (hypercube, cycle, torus, CCC) additionally
+// Hypercube, de Bruijn (both variants), cycle, torus and CCC additionally
 // implement graph.OrGatherer: the streaming flood kernel's fast path folds
 // a word table over in-neighborhoods with one interface call per
 // cache-sized chunk instead of one per vertex, so no neighbor id ever
-// touches memory.
+// touches memory. The hypercube and de Bruijn gathers fold contiguous runs
+// of the table rather than gathering neighbor by neighbor.
 
 // checkGenSize panics unless base^exp·factor is a positive vertex count
 // whose ids fit in the int32 arc buffers scans stream through. The systolic
@@ -78,40 +79,43 @@ func (h *HypercubeGen) OutArcs(v int, buf []int32) int {
 //gossip:hotpath
 func (h *HypercubeGen) InArcs(v int, buf []int32) int { return h.OutArcs(v, buf) }
 
-// OrInChunk folds table over in-neighborhoods: D xors and D loads per
-// destination, no neighbor ids in memory. The fold runs on four
-// independent accumulators so the loads stay in flight instead of
-// serializing behind one OR chain.
+// OrInChunk folds table over in-neighborhoods dimension by dimension
+// instead of vertex by vertex. Dimensions 0–2 stay inside aligned 8-word
+// blocks, so one per-vertex pass folds them and initializes out. Above
+// that, v ⊕ 2^i is v ± 2^i across each run of 2^i ids where bit i is
+// constant, so the neighbors of a run are one contiguous slice of table;
+// the remaining dimensions are folded four at a time over runs of the
+// lowest one's length, and every pass over out carries four sequential
+// streams. A pass short of dimensions repeats the top one, which the OR
+// absorbs. Valid for any [lo, hi).
 //
 //gossip:hotpath
 func (h *HypercubeGen) OrInChunk(lo, hi int, table, out []uint64) {
-	D := h.d
-	if D < 4 {
-		for v := lo; v < hi; v++ {
-			acc := table[v^1]
-			for i := 1; i < D; i++ {
-				acc |= table[v^(1<<i)]
-			}
-			out[v-lo] = acc
-		}
-		return
+	out = out[:hi-lo]
+	top := 1 << (h.d - 1)
+	r1, r2 := min(2, top), min(4, top)
+	for j := range out {
+		v := lo + j
+		out[j] = table[v^1] | table[v^r1] | table[v^r2]
 	}
-	for v := lo; v < hi; v++ {
-		a := table[v^1]
-		b := table[v^2]
-		c := table[v^4]
-		d := table[v^8]
-		i := 4
-		for ; i+3 < D; i += 4 {
-			a |= table[v^(1<<i)]
-			b |= table[v^(2<<i)]
-			c |= table[v^(4<<i)]
-			d |= table[v^(8<<i)]
+	for i := 3; i < h.d; i += 4 {
+		r := 1 << i
+		r1, r2, r3 := min(2*r, top), min(4*r, top), min(8*r, top)
+		for a := lo; a < hi; {
+			b := min(a|(r-1)+1, hi)
+			orRuns4(out[a-lo:b-lo], table[a^r:], table[a^r1:], table[a^r2:], table[a^r3:])
+			a = b
 		}
-		for ; i < D; i++ {
-			a |= table[v^(1<<i)]
-		}
-		out[v-lo] = a | b | c | d
+	}
+}
+
+// orRuns4 ORs the first len(o) words of four slices into o.
+//
+//gossip:hotpath
+func orRuns4(o, a, b, c, d []uint64) {
+	a, b, c, d = a[:len(o)], b[:len(o)], c[:len(o)], d[:len(o)]
+	for j := range o {
+		o[j] |= a[j] | b[j] | c[j] | d[j]
 	}
 }
 
@@ -471,6 +475,101 @@ func (db *DeBruijnGen) InArcs(v int, buf []int32) int {
 	return unionInto(buf, k, db.succs(v, buf[k:]))
 }
 
+// OrInChunk folds table over in-neighborhoods with no division per vertex
+// and no dedup, since a duplicate id is harmless to an OR. Only the d
+// constant words c·(n−1)/(d−1) are their own neighbors; they are refolded
+// afterwards without the self-loop.
+//
+//gossip:hotpath
+func (db *DeBruijnGen) OrInChunk(lo, hi int, table, out []uint64) {
+	out = out[:hi-lo]
+	if db.d == 2 {
+		db.orIn2(lo, table, out)
+	} else {
+		db.orIn(lo, table, out)
+	}
+	k := (db.n - 1) / (db.d - 1)
+	for w := (lo + k - 1) / k * k; w < hi; w += k {
+		out[w-lo] = db.foldConstant(w, table)
+	}
+}
+
+// orIn is the gather for any d, walked with running counters. The
+// predecessors γ·m + ⌊v/d⌋ are shared by the d destinations q·d … q·d+d−1,
+// so their fold runs once per group; the successors of the undirected
+// variant, (v mod m)·d + β, are d contiguous words, and v mod m advances
+// with v.
+//
+//gossip:hotpath
+func (db *DeBruijnGen) orIn(lo int, table, out []uint64) {
+	d, m, n := db.d, db.m, db.n
+	q, j := lo/d, lo%d
+	s := lo % m * d // first successor of lo
+	for o := 0; o < len(out); q, j = q+1, 0 {
+		var p uint64
+		for u := q; u < n; u += m {
+			p |= table[u]
+		}
+		e := min(o+d-j, len(out))
+		if db.directed {
+			for ; o < e; o++ {
+				out[o] = p
+			}
+			continue
+		}
+		for ; o < e; o++ {
+			w := p
+			for _, x := range table[s : s+d] {
+				w |= x
+			}
+			out[o] = w
+			s += d
+		}
+		if s == n {
+			s = 0
+		}
+	}
+}
+
+// orIn2 is the binary gather: m is a power of two, so ⌊v/2⌋ and
+// (v mod m)·2 are shifts and each destination is four loads.
+//
+//gossip:hotpath
+func (db *DeBruijnGen) orIn2(lo int, table, out []uint64) {
+	m := db.m
+	for o := range out {
+		v := lo + o
+		w := table[v>>1] | table[v>>1+m]
+		if !db.directed {
+			s := (v & (m - 1)) << 1
+			w |= table[s] | table[s+1]
+		}
+		out[o] = w
+	}
+}
+
+// foldConstant is the gather of a constant word v: the OR over its
+// predecessors and, when undirected, successors, skipping v itself.
+//
+//gossip:hotpath
+func (db *DeBruijnGen) foldConstant(v int, table []uint64) uint64 {
+	var w uint64
+	for u := v / db.d; u < db.n; u += db.m {
+		if u != v {
+			w |= table[u]
+		}
+	}
+	if !db.directed {
+		base := v % db.m * db.d
+		for u := base; u < base+db.d; u++ {
+			if u != v {
+				w |= table[u]
+			}
+		}
+	}
+	return w
+}
+
 // KautzGen is the arithmetic Kautz K(d,D) / K→(d,D), mirroring NewKautz /
 // NewKautzDigraph including its vertex numbering: the builder enumerates
 // the adjacent-digits-differ words lexicographically by (x_{D−1},…,x_0),
@@ -637,8 +736,8 @@ func unionInto(buf []int32, k, extra int) int {
 	return out
 }
 
-// Interface conformance: every generator is an ArcSource; the symmetric
-// constant-degree families also provide the chunked OR fast path.
+// Interface conformance: every generator is an ArcSource; all but
+// butterfly and Kautz also provide the chunked OR fast path.
 var (
 	_ graph.ArcSource  = (*HypercubeGen)(nil)
 	_ graph.OrGatherer = (*HypercubeGen)(nil)
@@ -650,5 +749,6 @@ var (
 	_ graph.OrGatherer = (*CCCGen)(nil)
 	_ graph.ArcSource  = (*ButterflyGen)(nil)
 	_ graph.ArcSource  = (*DeBruijnGen)(nil)
+	_ graph.OrGatherer = (*DeBruijnGen)(nil)
 	_ graph.ArcSource  = (*KautzGen)(nil)
 )

@@ -98,45 +98,6 @@ func TestGeneratorInArcsMatchBuilders(t *testing.T) {
 	}
 }
 
-// TestGeneratorOrInChunk pins every OrGatherer fast path against the
-// InArcs reference fold over a random-ish word table.
-func TestGeneratorOrInChunk(t *testing.T) {
-	for _, tc := range genCases() {
-		og, ok := tc.gen.(graph.OrGatherer)
-		if !ok {
-			continue
-		}
-		t.Run(tc.name, func(t *testing.T) {
-			n := tc.gen.N()
-			table := make([]uint64, n)
-			for v := range table {
-				// Deterministic splatter: distinct bits without rand.
-				table[v] = uint64(v)*0x9e3779b97f4a7c15 | 1
-			}
-			buf := make([]int32, tc.gen.DegBound())
-			out := make([]uint64, n)
-			// Uneven chunk boundaries on purpose.
-			for lo := 0; lo < n; lo += 7 {
-				hi := lo + 7
-				if hi > n {
-					hi = n
-				}
-				og.OrInChunk(lo, hi, table, out[lo:hi])
-			}
-			for v := 0; v < n; v++ {
-				var want uint64
-				k := tc.gen.InArcs(v, buf)
-				for _, u := range buf[:k] {
-					want |= table[u]
-				}
-				if out[v] != want {
-					t.Fatalf("OrInChunk(%d): got %#x want %#x", v, out[v], want)
-				}
-			}
-		})
-	}
-}
-
 // TestKautzCodecRoundTrip exercises the rank codec across every vertex of
 // a few instances: decode must yield a valid Kautz word and encode must
 // invert it.
