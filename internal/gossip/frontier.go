@@ -9,31 +9,30 @@ import (
 // FrontierState is the broadcast-specialized knowledge tracker: it records
 // only whether each vertex has been informed of the single broadcast item,
 // packed one bit per vertex (n bits total instead of a word per vertex), and
-// reports how the informed frontier grows round by round. StepProgram
-// performs zero allocations.
+// reports how the informed frontier grows round by round. A compiled round
+// never has two ops on one vertex, so steps update the one bitset in place
+// and perform zero allocations.
 type FrontierState struct {
 	n        int
 	informed bitset // one bit per vertex
-	prev     bitset // beginning-of-round shadow
 	know     int    // informed vertices
 }
 
 // NewFrontierState returns the broadcast state in which only source is
 // informed.
 func NewFrontierState(n, source int) *FrontierState {
-	f := &FrontierState{n: n, informed: newBitset(n), prev: newBitset(n)}
+	f := &FrontierState{n: n, informed: newBitset(n)}
 	f.informed.set(source)
 	f.know = 1
 	return f
 }
 
 // Reset returns the state to "only source is informed" without reallocating:
-// both bitsets are cleared in place. Loops that measure broadcasts from many
+// the bitset is cleared in place. Loops that measure broadcasts from many
 // sources (eccentricity scans, all-sources analyses) reuse one FrontierState
-// through Reset instead of paying two bitset allocations per source.
+// through Reset instead of paying a bitset allocation per source.
 func (f *FrontierState) Reset(source int) {
 	f.informed.clearAll()
-	f.prev.clearAll()
 	f.informed.set(source)
 	f.know = 1
 }

@@ -35,8 +35,9 @@ type GenProgram struct {
 
 // CompileGen lowers a generator-backed periodic schedule into a GenProgram.
 // The round source must describe a systolic protocol (period >= 1) whose
-// rounds are matchings — the structural invariant every schedule generator
-// in internal/topology guarantees by construction.
+// rounds are matchings or isolated opposite pairs — the shapes Compile
+// admits, which every schedule generator in internal/topology guarantees
+// by construction and StepGenProgram relies on to read live bits.
 //
 //gossip:allowpanic compile-time guard: schedule generators guarantee period >= 1 by construction
 func CompileGen(rs graph.RoundSource, mode Mode) *GenProgram {
@@ -213,7 +214,8 @@ func (gr *GenRun) Program() *GenProgram { return gr.prog }
 // to the packed broadcast frontier and returns the number of newly
 // informed vertices. It is byte-identical to StepProgram(Compile(
 // Materialize()), i): an arc sender → v informs v iff sender was informed
-// at the beginning of the round.
+// at the beginning of the round. The rounds are matchings or opposite
+// pairs, so a sender's live bit is its beginning-of-round bit.
 //
 //gossip:allowpanic pairing guard: the session layer establishes program/state compatibility
 //gossip:hotpath
@@ -225,7 +227,6 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 	if i < 0 {
 		return 0
 	}
-	copy(f.prev, f.informed)
 	r := i % g.period
 	gained := 0
 	if gr.buf != nil {
@@ -234,7 +235,7 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 			buf := gr.buf[:hi-lo]
 			g.sc.SenderChunk(r, lo, hi, buf)
 			for j, s := range buf {
-				if s >= 0 && f.prev.has(int(s)) {
+				if s >= 0 && f.informed.has(int(s)) {
 					if v := lo + j; !f.informed.has(v) {
 						f.informed.set(v)
 						gained++
@@ -245,7 +246,7 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 	} else {
 		rs := g.rs
 		for v := 0; v < f.n; v++ {
-			if s := rs.Sender(r, v); s >= 0 && f.prev.has(s) && !f.informed.has(v) {
+			if s := rs.Sender(r, v); s >= 0 && f.informed.has(s) && !f.informed.has(v) {
 				f.informed.set(v)
 				gained++
 			}

@@ -1,7 +1,5 @@
 package gossip
 
-import "repro/internal/graph"
-
 // ArcFilter decides, per scheduled arc of one execution round, whether the
 // transfer is delivered. It is the seam the scenario engine (message loss,
 // node churn, adversarial arc deletion — repro/internal/scenario) injects
@@ -10,8 +8,7 @@ import "repro/internal/graph"
 // execution.
 //
 // The consultation order per round is: fused exchange ops in program order,
-// each as keep(A, B) then keep(B, A); then the snapshot-reading unfused
-// arcs in program order; then the live-reading unfused arcs in program
+// each as keep(A, B) then keep(B, A); then the unfused arcs in program
 // order. Both directions of a fused op are always consulted (even when the
 // first returns false), so a filter driving a PRNG consumes an
 // arc-set-determined amount of randomness regardless of earlier outcomes.
@@ -20,22 +17,16 @@ type ArcFilter func(from, to int32) bool
 // StepProgramMasked applies execution round i of a compiled program with
 // per-arc delivery decided by keep. With an always-true filter it is
 // byte-identical to StepProgram (the differential tests pin this); a false
-// return suppresses exactly that transfer — the receiver simply does not
-// merge the sender's beginning-of-round words — without disturbing any
-// other arc of the round.
+// return suppresses exactly that transfer — the receiver does not merge
+// the sender's words — without disturbing any other arc of the round. No
+// two ops of a compiled round share a vertex, so a dropped arc cannot
+// change what another arc reads.
 //
-// Dropping arcs preserves beginning-of-round semantics: snapshot spans are
-// still copied for every sender the full round overwrites (a suppressed
-// overwrite only makes the snapshot equal the live state, never wrong), and
-// a fused exchange whose endpoints touch no other arc of the round keeps
-// its live blocks equal to their beginning-of-round values until the op
-// runs, so delivering one direction of a pair merges exactly the
-// beginning-of-round words.
-//
-// Masked stepping is always serial (any attached pool is bypassed): the
-// scenario engine parallelizes across Monte-Carlo trials, not within one
-// faulty round, and a fixed serial order is what makes the filter's PRNG
-// stream reproducible. Steady-state masked steps perform zero allocations.
+// Masked stepping is the serial merge loop with the filter (any attached
+// pool is bypassed): the scenario engine parallelizes across Monte-Carlo
+// trials, not within one faulty round, and a fixed serial order is what
+// makes the filter's PRNG stream reproducible. Steady-state masked steps
+// perform zero allocations.
 //
 //gossip:hotpath
 func (s *State) StepProgramMasked(pr *Program, i int, keep ArcFilter) {
@@ -44,99 +35,7 @@ func (s *State) StepProgramMasked(pr *Program, i int, keep ArcFilter) {
 	if r < 0 {
 		return
 	}
-	for _, sp := range pr.spans[pr.spanStart[r]:pr.spanStart[r+1]] {
-		copy(s.prev[sp.off:sp.off+sp.n], s.cur[sp.off:sp.off+sp.n])
-	}
-	for _, e := range pr.fused[pr.fusedStart[r]:pr.fusedStart[r+1]] {
-		kab := keep(e.A, e.B)
-		kba := keep(e.B, e.A)
-		switch {
-		case kab && kba:
-			gained, newlyFull := s.exchange(e)
-			s.know += int64(gained)
-			s.full += int64(newlyFull)
-		case kab:
-			s.deliverLive(e.AOff, e.BOff, e.B)
-		case kba:
-			s.deliverLive(e.BOff, e.AOff, e.A)
-		}
-	}
-	for _, pa := range pr.pairs[pr.roundStart[r]:pr.prevSplit[r]] {
-		if !keep(pa.From, pa.To) {
-			continue
-		}
-		gained, becameFull := s.recvFrom(s.prev, pa)
-		s.know += int64(gained)
-		if becameFull {
-			s.full++
-		}
-	}
-	for _, pa := range pr.pairs[pr.prevSplit[r]:pr.roundStart[r+1]] {
-		if !keep(pa.From, pa.To) {
-			continue
-		}
-		gained, becameFull := s.recvFrom(s.cur, pa)
-		s.know += int64(gained)
-		if becameFull {
-			s.full++
-		}
-	}
-}
-
-// deliverLive merges the live block at srcOff into the receiver — the
-// one-directional remnant of a fused exchange whose opposite arc was
-// dropped. The sender's live block equals its beginning-of-round value
-// (fusion guaranteed the endpoints touch no other arc of the round), so
-// this is an ordinary beginning-of-round transfer.
-func (s *State) deliverLive(srcOff, dstOff, to int32) {
-	gained, becameFull := s.recvFrom(s.cur, graph.PackedArc{
-		SrcOff: srcOff, DstOff: dstOff, To: to,
-	})
-	s.know += int64(gained)
-	if becameFull {
-		s.full++
-	}
-}
-
-// StepProgramMasked applies execution round i of a compiled program to the
-// packed broadcast frontier with per-arc delivery decided by keep, and
-// returns the number of newly informed vertices. The filter consultation
-// order matches State.StepProgramMasked: fused ops first (both directions,
-// always), then the unfused arcs in program order.
-//
-//gossip:allowpanic pairing guard: the session layer establishes program/state compatibility
-//gossip:hotpath
-func (f *FrontierState) StepProgramMasked(pr *Program, i int, keep ArcFilter) int {
-	if pr.n != f.n {
-		panic("gossip: masked program executed on mismatched frontier")
-	}
-	copy(f.prev, f.informed)
-	r := pr.roundIndex(i)
-	if r < 0 {
-		return 0
-	}
-	gained := 0
-	for _, e := range pr.fused[pr.fusedStart[r]:pr.fusedStart[r+1]] {
-		kab := keep(e.A, e.B)
-		kba := keep(e.B, e.A)
-		if kab && f.prev.has(int(e.A)) && !f.informed.has(int(e.B)) {
-			f.informed.set(int(e.B))
-			gained++
-		}
-		if kba && f.prev.has(int(e.B)) && !f.informed.has(int(e.A)) {
-			f.informed.set(int(e.A))
-			gained++
-		}
-	}
-	for _, pa := range pr.pairs[pr.roundStart[r]:pr.roundStart[r+1]] {
-		if !keep(pa.From, pa.To) {
-			continue
-		}
-		if f.prev.has(int(pa.From)) && !f.informed.has(int(pa.To)) {
-			f.informed.set(int(pa.To))
-			gained++
-		}
-	}
-	f.know += gained
-	return gained
+	gained, newlyFull := s.merge(pr, r, 0, 1, keep)
+	s.know += gained
+	s.full += newlyFull
 }

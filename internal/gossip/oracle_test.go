@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -10,23 +11,35 @@ import (
 // the reference semantics every compiled and generator kernel is
 // differential-tested against. No library path steps raw arc slices, so
 // they live with the tests as oracles.
+//
+// Unlike the compiled steps, the oracles accept arbitrary arc sets, so they
+// snapshot every sender before any merge. The snapshot lives in test-only
+// shadow storage the size of the state, grown on first use and reused
+// after, so a steady-state oracle step allocates nothing.
+var oracleShadow struct {
+	sync.Mutex
+	words []uint64 // State.Step: senders' blocks at their state offsets
+	bits  bitset   // FrontierState.Step: the beginning-of-round informed set
+}
 
 // Step applies one communication round: for each active arc (x, y), y learns
 // everything x knew at the beginning of the round. All transfers in a round
-// are simultaneous; because rounds are matchings a vertex receives on at
-// most one arc, but the interpreter is still correct for arbitrary arc
-// sets (e.g. full-duplex opposite pairs): every sender's words are copied
-// into the shadow buffer before any merge, so opposite arcs exchange the
-// beginning-of-round sets as the model requires. It always runs serially,
-// whatever pool is attached.
+// are simultaneous, for any arc set: every sender's words are snapshotted
+// before any merge. It always runs serially, whatever pool is attached.
 func (s *State) Step(round []graph.Arc) {
+	oracleShadow.Lock()
+	defer oracleShadow.Unlock()
+	if len(oracleShadow.words) < len(s.cur) {
+		oracleShadow.words = make([]uint64, len(s.cur))
+	}
+	prev := oracleShadow.words
 	w := s.words
 	for _, a := range round {
 		o := a.From * w
-		copy(s.prev[o:o+w], s.cur[o:o+w])
+		copy(prev[o:o+w], s.cur[o:o+w])
 	}
 	for _, a := range round {
-		src := s.prev[a.From*w : a.From*w+w]
+		src := prev[a.From*w : a.From*w+w]
 		dst := s.cur[a.To*w : a.To*w+w : a.To*w+w]
 		gained := 0
 		for i, sw := range src {
@@ -50,10 +63,16 @@ func (s *State) Step(round []graph.Arc) {
 // informed at the beginning of the round — and returns the number of newly
 // informed vertices (the frontier growth).
 func (f *FrontierState) Step(round []graph.Arc) int {
-	copy(f.prev, f.informed)
+	oracleShadow.Lock()
+	defer oracleShadow.Unlock()
+	if len(oracleShadow.bits) < len(f.informed) {
+		oracleShadow.bits = make(bitset, len(f.informed))
+	}
+	prev := oracleShadow.bits
+	copy(prev, f.informed)
 	gained := 0
 	for _, a := range round {
-		if f.prev.has(a.From) && !f.informed.has(a.To) {
+		if prev.has(a.From) && !f.informed.has(a.To) {
 			f.informed.set(a.To)
 			gained++
 		}

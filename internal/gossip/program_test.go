@@ -8,7 +8,9 @@ package gossip_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/gossip"
@@ -131,24 +133,73 @@ func TestCompiledStepMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestCompiledArbitraryArcSets exercises the compiler's general path:
-// rounds that are NOT matchings — overlapping senders and receivers,
-// duplicate destinations, opposite pairs entangled with extra arcs — force
-// the snapshot spans, the prev/cur regrouping and the duplicate-receiver
-// bucketing that validated protocols never need. Compiled execution
-// (serial and sharded) must still match the interpreter byte for byte.
+// admissibleRound is the test's own statement of the Compile contract: a
+// round is admitted iff every vertex is an endpoint of at most one arc, or
+// of exactly two arcs forming one opposite pair.
+func admissibleRound(round []graph.Arc) bool {
+	touching := make(map[int][]graph.Arc)
+	for _, a := range round {
+		if a.From == a.To {
+			return false
+		}
+		touching[a.From] = append(touching[a.From], a)
+		touching[a.To] = append(touching[a.To], a)
+	}
+	for _, arcs := range touching {
+		switch len(arcs) {
+		case 1:
+		case 2:
+			if arcs[0].From != arcs[1].To || arcs[0].To != arcs[1].From {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// randomRound draws a round that is admissible by construction — disjoint
+// vertex pairs, each idle, a one-way arc or an opposite pair — and then,
+// half the time, adds up to two arbitrary arcs (self-loops, duplicates and
+// chains included), which may or may not break admissibility.
+func randomRound(rng *rand.Rand, n int) []graph.Arc {
+	var round []graph.Arc
+	perm := rng.Perm(n)
+	for i := 0; i+1 < n; i += 2 {
+		u, v := perm[i], perm[i+1]
+		switch rng.Intn(4) {
+		case 1:
+			round = append(round, graph.Arc{From: u, To: v})
+		case 2:
+			round = append(round, graph.Arc{From: u, To: v}, graph.Arc{From: v, To: u})
+		}
+	}
+	rng.Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
+	if rng.Intn(2) == 0 {
+		for k := rng.Intn(3); k > 0; k-- {
+			round = append(round, graph.Arc{From: rng.Intn(n), To: rng.Intn(n)})
+		}
+	}
+	return round
+}
+
+// TestCompiledArbitraryArcSets is the accept/reject property of the
+// compiler: on random arc sets, Compile succeeds iff every round passes
+// admissibleRound, and a rejection names the first inadmissible round.
+// Accepted programs, serial and pooled, must match the arc-slice oracle
+// byte for byte. Both sides of the property must be exercised.
 func TestCompiledArbitraryArcSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
-	for trial := 0; trial < 40; trial++ {
+	accepted, rejected := 0, 0
+	for trial := 0; trial < 400; trial++ {
 		n := 3 + rng.Intn(8)
 		var rs [][]graph.Arc
+		firstBad := -1
 		for r := 0; r < 2+rng.Intn(6); r++ {
-			var round []graph.Arc
-			for k := 0; k < rng.Intn(3*n); k++ {
-				u, v := rng.Intn(n), rng.Intn(n)
-				if u != v {
-					round = append(round, graph.Arc{From: u, To: v})
-				}
+			round := randomRound(rng, n)
+			if firstBad < 0 && !admissibleRound(round) {
+				firstBad = r
 			}
 			rs = append(rs, round)
 		}
@@ -159,9 +210,20 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 			p = gossip.NewFinite(rs, gossip.Directed)
 		}
 		prog, err := gossip.Compile(p, n, n)
-		if err != nil {
-			t.Fatalf("trial %d: compile: %v", trial, err)
+		if firstBad >= 0 {
+			if err == nil {
+				t.Fatalf("trial %d: round %d %v is inadmissible but compiled", trial, firstBad, rs[firstBad])
+			}
+			if want := fmt.Sprintf("round %d ", firstBad); !strings.Contains(err.Error(), want) {
+				t.Fatalf("trial %d: error %q does not name %q", trial, err, want)
+			}
+			rejected++
+			continue
 		}
+		if err != nil {
+			t.Fatalf("trial %d: admissible rounds %v rejected: %v", trial, rs, err)
+		}
+		accepted++
 		interp := gossip.NewState(n)
 		compiled := gossip.NewState(n)
 		sharded := gossip.NewState(n)
@@ -173,10 +235,10 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 			sharded.StepProgram(prog, r)
 			want := interp.Export()
 			if !bytes.Equal(compiled.Export(), want) {
-				t.Fatalf("trial %d round %d: serial compiled diverged on arbitrary arc set", trial, r)
+				t.Fatalf("trial %d round %d: serial compiled diverged from the oracle", trial, r)
 			}
 			if !bytes.Equal(sharded.Export(), want) {
-				t.Fatalf("trial %d round %d: sharded compiled diverged on arbitrary arc set", trial, r)
+				t.Fatalf("trial %d round %d: sharded compiled diverged from the oracle", trial, r)
 			}
 			if compiled.TotalKnowledge() != interp.TotalKnowledge() ||
 				sharded.TotalKnowledge() != interp.TotalKnowledge() {
@@ -185,11 +247,14 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 		}
 		pool.Close()
 	}
+	if accepted < 50 || rejected < 50 {
+		t.Fatalf("property exercised %d accepted and %d rejected protocols, want ≥ 50 of each", accepted, rejected)
+	}
 }
 
 // TestCompiledMatchesOnRealTopologies pins the differential on the paper's
 // constructions across all three communication modes, sweeping worker
-// counts through the shard partitions.
+// counts through the pooled cuts.
 func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -200,6 +265,9 @@ func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 		{"hypercube/full", topology.Hypercube(5), protocols.PeriodicFullDuplex},
 		{"kautz-digraph/directed", topology.NewKautzDigraph(2, 5).G, protocols.RoundRobinDirected},
 		{"ccc/full", topology.CCC(3), protocols.PeriodicFullDuplex},
+		// 384 vertices: six words per block, so fused exchanges run the
+		// four-word skip and a two-word tail.
+		{"ccc6/full", topology.CCC(6), protocols.PeriodicFullDuplex},
 		{"shuffle-exchange/half", topology.ShuffleExchange(4), protocols.PeriodicInterleavedHalfDuplex},
 	}
 	for _, tc := range cases {
@@ -289,8 +357,7 @@ func TestProgramCertificateMatchesInterpreted(t *testing.T) {
 }
 
 // TestCompiledStepZeroAlloc pins the compiled hot path at zero allocations
-// in steady state — serial and sharded alike (the shard partition is
-// memoized on first use, which the warm-up run absorbs).
+// in steady state — serial and sharded alike.
 func TestCompiledStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -338,8 +405,10 @@ func TestCompiledStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCompileRejects: arcs outside the processor range and degenerate
-// shapes must fail compilation with an error, not a panic downstream.
+// TestCompileRejects: arcs outside the processor range, degenerate shapes
+// and every round that is neither a matching nor a set of isolated opposite
+// pairs must fail compilation with an error naming the round and the arc,
+// not a panic or a wrong result downstream.
 func TestCompileRejects(t *testing.T) {
 	p := gossip.NewFinite([][]graph.Arc{{{From: 0, To: 7}}}, gossip.Directed)
 	if _, err := gossip.Compile(p, 4, 4); err == nil {
@@ -350,6 +419,36 @@ func TestCompileRejects(t *testing.T) {
 	}
 	if _, err := gossip.Compile(p, 8, 0); err == nil {
 		t.Error("zero item width compiled")
+	}
+	shapes := []struct {
+		name  string
+		round []graph.Arc
+		arc   string // the arc the error must name
+	}{
+		{"shared sender", []graph.Arc{{From: 0, To: 1}, {From: 0, To: 2}}, "(0,2)"},
+		{"duplicate destination", []graph.Arc{{From: 0, To: 2}, {From: 1, To: 2}}, "(1,2)"},
+		{"chain u→v→w", []graph.Arc{{From: 0, To: 1}, {From: 1, To: 2}}, "(1,2)"},
+		{"opposite pair plus a third arc", []graph.Arc{{From: 0, To: 1}, {From: 1, To: 0}, {From: 2, To: 1}}, "(2,1)"},
+		{"duplicate arc", []graph.Arc{{From: 0, To: 1}, {From: 0, To: 1}}, "(0,1)"},
+		{"self-loop", []graph.Arc{{From: 2, To: 2}}, "(2,2)"},
+	}
+	for _, tc := range shapes {
+		// The bad round comes second, after an admissible one, in every mode.
+		for _, mode := range []gossip.Mode{gossip.Directed, gossip.HalfDuplex, gossip.FullDuplex} {
+			bad := gossip.NewSystolic([][]graph.Arc{{{From: 3, To: 4}}, tc.round}, mode)
+			_, err := gossip.Compile(bad, 5, 5)
+			if err == nil {
+				t.Errorf("%s (%v): compiled", tc.name, mode)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "round 1 ") || !strings.Contains(msg, tc.arc) {
+				t.Errorf("%s (%v): error %q does not name round 1 and arc %s", tc.name, mode, msg, tc.arc)
+			}
+		}
+	}
+	pair := gossip.NewSystolic([][]graph.Arc{{{From: 1, To: 0}, {From: 2, To: 3}, {From: 0, To: 1}}}, gossip.Directed)
+	if pr, err := gossip.Compile(pair, 4, 4); err != nil || pr.NumArcs() != 3 {
+		t.Errorf("an opposite pair beside a one-way arc must compile: %v", err)
 	}
 	ok := gossip.NewSystolic([][]graph.Arc{{{From: 0, To: 1}}}, gossip.Directed)
 	pr, err := gossip.Compile(ok, 2, 2)

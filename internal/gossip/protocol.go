@@ -6,14 +6,16 @@
 // The engine is a compile-then-execute pipeline. A Protocol is a plain
 // schedule — arc slices per round; Compile lowers it once into a Program,
 // the flat schedule IR every execution layer shares: precomputed word
-// offsets, fused full-duplex exchanges, snapshot analysis (only senders
-// that are overwritten within their round are shadow-copied) and
-// compile-time shard partitions. State.StepProgram, FrontierState.
-// StepProgram, the sharded Pool and Program.CompletionCertificate all
-// execute the same IR, byte-identically to interpreting the raw arc slices
-// (the arc-slice interpreters live in the tests as oracles). Simulate,
-// SimulateBroadcast and CompletionCertificate compile on entry, so one-shot
-// callers get the compiled hot path for free.
+// offsets and fused full-duplex exchanges. Compile admits only the rounds
+// Validate does — every vertex an endpoint of at most one arc, or of
+// exactly one opposite pair — so no two ops of a round share a vertex and
+// every op merges live state in place. State.StepProgram (serial, pooled
+// or fault-masked, all one merge loop), FrontierState.StepProgram and
+// Program.CompletionCertificate execute the same IR, byte-identically to
+// interpreting the raw arc slices (the arc-slice interpreters live in the
+// tests as oracles). Simulate, SimulateBroadcast and CompletionCertificate
+// compile on entry, so one-shot callers get the compiled hot path for
+// free.
 package gossip
 
 import (

@@ -17,9 +17,10 @@ var ErrIncomplete = errors.New("gossip: protocol did not complete within the rou
 // Item i originates at processor i.
 //
 // The knowledge sets live in one flat word array (words consecutive uint64
-// per vertex) with a same-sized shadow buffer for beginning-of-round
-// snapshots, so StepProgram performs zero allocations in steady state. Per-vertex
-// item counts, the total knowledge and the number of saturated vertices are
+// per vertex). A compiled round never has two ops on one vertex, so every
+// op merges live words in place and StepProgram performs zero allocations
+// in steady state. Per-vertex item
+// counts, the total knowledge and the number of saturated vertices are
 // maintained incrementally, making TotalKnowledge, Count, GossipComplete
 // and BroadcastComplete O(1).
 type State struct {
@@ -27,8 +28,7 @@ type State struct {
 	items int // item-space size: n for gossip, 1 for broadcast
 	words int // uint64 words per vertex
 
-	cur  []uint64 // n*words flattened knowledge sets
-	prev []uint64 // beginning-of-round shadow of the senders
+	cur []uint64 // n*words flattened knowledge sets
 
 	counts []int32 // items known per vertex
 	know   int64   // sum of counts
@@ -44,7 +44,6 @@ func newState(n, items int) *State {
 		items:  items,
 		words:  words,
 		cur:    make([]uint64, n*words),
-		prev:   make([]uint64, n*words),
 		counts: make([]int32, n),
 	}
 	return s
@@ -83,12 +82,10 @@ func (s *State) UsePool(p *Pool) { s.pool = p }
 
 // Reset returns a gossip state (one built by NewState) to its initial
 // "every processor knows exactly its own item" configuration without
-// reallocating — the shadow buffer need not be cleared because StepProgram
-// always writes a sender's snapshot before reading it. Loops
-// that run many simulations of one shape (the Monte-Carlo scenario trials)
-// reuse one State through Reset instead of paying two n×words allocations
-// per run. It panics on broadcast-shaped states (items != n), whose initial
-// configuration depends on a source.
+// reallocating. Loops that run many simulations of one shape (the
+// Monte-Carlo scenario trials) reuse one State through Reset instead of
+// paying an n×words allocation per run. It panics on broadcast-shaped
+// states (items != n), whose initial configuration depends on a source.
 //
 //gossip:allowpanic pairing guard: the session layer establishes program/state compatibility
 func (s *State) Reset() {

@@ -1,5 +1,5 @@
-// Hot-path benchmarks and invariants for the flat double-buffered gossip
-// core: the arc-slice oracle Step must not allocate in steady state, and
+// Hot-path benchmarks and invariants for the flat gossip core: the
+// arc-slice oracle Step must not allocate in steady state, and
 // the one-bit-per-vertex frontier backend must agree with the full bitset
 // state on broadcasts. The benchmarks live in an
 // external test package so they can drive the core through real protocols
@@ -17,8 +17,8 @@ import (
 )
 
 // BenchmarkStep measures the arc-slice oracle on the 4096-vertex de Bruijn
-// graph DB(2,12) and proves it allocates nothing: the double-buffered word
-// array every stepping path shares needs no per-round buffers.
+// graph DB(2,12) and proves it allocates nothing: its beginning-of-round
+// snapshot reuses test-only scratch, so it needs no per-round buffers.
 func BenchmarkStep(b *testing.B) {
 	db := topology.NewDeBruijn(2, 12)
 	p := protocols.PeriodicHalfDuplex(db.G)
@@ -32,9 +32,9 @@ func BenchmarkStep(b *testing.B) {
 
 // BenchmarkCompiledStep measures the compiled hot path on the 4096-vertex
 // hypercube H(12) running the dimension-exchange schedule: the schedule is
-// lowered once into a Program (precomputed word offsets, coalesced sender
-// copy-spans — here a single whole-array memcpy per round, dst-sorted
-// merges) and StepProgram executes the IR with zero allocations. Compare
+// lowered once into a Program (precomputed word offsets; here every round
+// is fully fused into 2048 exchange ops) and StepProgram executes the IR
+// with zero allocations. Compare
 // with BenchmarkUncompiledStep, the arc-slice oracle on the identical
 // workload, for the compile-once win; BenchmarkStep (DB(2,12), a ~4×
 // smaller per-round workload) remains the cross-PR regression anchor.
@@ -69,9 +69,8 @@ func BenchmarkUncompiledStep(b *testing.B) {
 }
 
 // BenchmarkCompiledStepSharded is BenchmarkCompiledStep with the worker
-// pool attached, executing the compile-time shard partition (contiguous
-// receiver ranges and balanced sender spans instead of per-step ownership
-// scans).
+// pool attached: each worker merges one contiguous cut of the round's ops
+// behind a single barrier.
 func BenchmarkCompiledStepSharded(b *testing.B) {
 	hc := topology.Hypercube(12)
 	p := protocols.HypercubeExchange(12)
@@ -92,9 +91,9 @@ func BenchmarkCompiledStepSharded(b *testing.B) {
 }
 
 // BenchmarkProgramCompile measures the one-off lowering cost itself —
-// packing, dst-sorting and span-merging the hypercube d=12 schedule — the
-// price paid once per session (or once per program-cache fill) to make
-// every subsequent round cheaper.
+// checking, fusing and packing the hypercube d=12 schedule — the price paid
+// once per session (or once per program-cache fill) to make every
+// subsequent round cheaper.
 func BenchmarkProgramCompile(b *testing.B) {
 	hc := topology.Hypercube(12)
 	p := protocols.HypercubeExchange(12)

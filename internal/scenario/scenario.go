@@ -4,7 +4,8 @@
 // A Spec describes the fault model declaratively; Compile validates it
 // against a vertex count and precomputes the lookup structures; each
 // Monte-Carlo trial then owns a Trial, which drives masked program steps
-// (gossip.StepProgramMasked) through a deterministic splitmix64 stream.
+// (gossip.State.StepProgramMasked) through a deterministic splitmix64
+// stream.
 // Identical (Spec, trial index) pairs always reproduce identical
 // executions, independent of scheduling: the trial's PRNG stream is
 // derived from the spec seed and the trial index alone, and the masked
@@ -186,18 +187,6 @@ func (t *Trial) Step(st *gossip.State, pr *gossip.Program, i int) {
 	}
 	t.syncRound(i)
 	st.StepProgramMasked(pr, i, t.filter)
-}
-
-// StepFrontier applies round i to a packed broadcast frontier under the
-// trial's faults, returning the number of newly informed vertices.
-//
-//gossip:hotpath
-func (t *Trial) StepFrontier(fr *gossip.FrontierState, pr *gossip.Program, i int) int {
-	if !t.c.active {
-		return fr.StepProgram(pr, i)
-	}
-	t.syncRound(i)
-	return fr.StepProgramMasked(pr, i, t.filter)
 }
 
 // syncRound recomputes the crash bitset when the round changes. Crash

@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/gossip"
 )
 
 // smallParams instantiates every registered kind at a deliberately small
@@ -122,6 +124,46 @@ func TestCompiledDifferentialAllKinds(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestValidatedProtocolsCompile: Compile admits exactly the round shapes
+// Validate does, so every catalog protocol that validates on a registered
+// kind must compile, for gossip and broadcast state shapes alike. Pairs
+// whose construction fails (an error or a precondition panic) are outside
+// the contract and skipped.
+func TestValidatedProtocolsCompile(t *testing.T) {
+	build := func(name string, net *Network) (p *Protocol, ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		p, err := NewProtocol(name, net, DefaultRoundBudget)
+		return p, err == nil
+	}
+	compiled := 0
+	for _, kind := range Kinds() {
+		net, err := New(kind, smallParams[kind]...)
+		if err != nil {
+			t.Fatalf("building %s: %v", kind, err)
+		}
+		n := net.G.N()
+		for _, name := range ProtocolKinds() {
+			p, ok := build(name, net)
+			if !ok || p.Validate(net.G) != nil {
+				continue
+			}
+			for _, items := range []int{n, 1} {
+				if _, err := gossip.Compile(p, n, items); err != nil {
+					t.Errorf("%s/%s validates but does not compile (items=%d): %v", kind, name, items, err)
+				}
+			}
+			compiled++
+		}
+	}
+	if compiled < len(Kinds())*3 {
+		t.Fatalf("only %d (kind, protocol) pairs validated; the registry sweep is vacuous", compiled)
 	}
 }
 

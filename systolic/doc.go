@@ -26,17 +26,17 @@
 //
 //     Underneath, NewEngine compiles the validated schedule once into a
 //     flat program IR (precomputed word offsets, fused full-duplex
-//     exchanges, snapshot elision, compile-time shard partitions) that
-//     every execution layer shares; CompileProtocol exposes the compiled
-//     Program so callers that run one schedule many times — the serving
-//     layer's program cache — can build sessions with NewEngineFromProgram
-//     and skip validate+compile entirely. Knowledge lives in a flat
-//     double-buffered word array — a steady-state Step allocates nothing —
-//     and sessions on networks with at least DefaultShardThreshold vertices
-//     shard each round across a worker pool (WithWorkers), byte-identical
-//     to serial. Session.Frontier reports the per-round newly-informed
-//     counts; NewBroadcastEngine runs broadcasts on a packed
-//     one-bit-per-vertex frontier backend.
+//     exchanges) that every execution layer shares; a compiled round never
+//     has two ops on one vertex, so each op merges live words in place.
+//     CompileProtocol exposes the compiled Program so callers that run one
+//     schedule many times — the serving layer's program cache — can build
+//     sessions with NewEngineFromProgram and skip validate+compile
+//     entirely. Knowledge lives in one flat word array — a steady-state
+//     Step allocates nothing — and sessions on networks with at least
+//     DefaultShardThreshold vertices shard each round across a worker pool
+//     (WithWorkers), byte-identical to serial. Session.Frontier reports the
+//     per-round newly-informed counts; NewBroadcastEngine runs broadcasts
+//     on a packed one-bit-per-vertex frontier backend.
 //
 //   - A unified certification pipeline. Certify (and Session.Certify) runs
 //     a protocol and returns a typed Certificate: the measured rounds, the

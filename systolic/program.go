@@ -109,12 +109,12 @@ func (pr *Program) Fingerprint() string {
 }
 
 // genSessionFootprint estimates the resident bytes a generator-program
-// session allocates: the two frontier bitsets plus the sender chunk scratch.
+// session allocates: the frontier bitset plus the sender chunk scratch.
 // It is what WithMaxMemory meters on the streaming path — deliberately
 // excluding the O(arcs) cost the generator exists to avoid.
 func genSessionFootprint(n int) int64 {
 	words := int64((n + 63) / 64)
-	return 2*8*words + 4*int64(graph.GenChunkVerts)
+	return 8*words + 4*int64(graph.GenChunkVerts)
 }
 
 // NewEngineFromProgram returns a fresh session at round zero executing an

@@ -211,9 +211,19 @@ func CertifyScenario(ctx context.Context, net *Network, p *Protocol, sc *Scenari
 // i's PRNG stream depends only on (scenario seed, i), making the reported
 // distribution independent of the worker count. Budget-truncated trials
 // are reported in the statistics, never as an error; the only failures
-// are invalid inputs and context cancellation.
+// are invalid inputs and context cancellation. A broadcast program (one
+// compiled from a generator-backed protocol) is rejected before any work:
+// ErrImplicit on an implicit network, ErrBadParam on a materialized one.
 func CertifyScenarioProgram(ctx context.Context, pr *Program, sc *Scenario, trials int, opts ...Option) (*StatisticalCertificate, error) {
 	net, p := pr.net, pr.proto
+	if pr.frontier {
+		// Trials step a gossip state; a broadcast program (any generator-
+		// backed protocol) has no gossip lowering to run them on.
+		if net.Implicit() {
+			return nil, errImplicitOp("certify scenario on", net.Name)
+		}
+		return nil, fmt.Errorf("%w: scenario certification simulates gossip, but %s runs a broadcast program", ErrBadParam, net.Name)
+	}
 	if trials < 1 {
 		return nil, fmt.Errorf("%w: scenario trials %d < 1", ErrBadParam, trials)
 	}

@@ -8,6 +8,7 @@ package systolic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gossip"
@@ -242,5 +243,45 @@ func TestCertifyScenarioValidation(t *testing.T) {
 		if _, err := CertifyScenario(ctx, net, p, tc.sc, tc.trials); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestCertifyScenarioRejectsBroadcastPrograms: scenario trials step a
+// gossip state, so a generator-backed protocol is rejected before any work
+// with a typed error — ErrImplicit on an implicit network (which has no
+// digraph to read), ErrBadParam for its broadcast-shaped CSR twin on a
+// materialized one (whose 1-item program cannot run on an n-item state).
+func TestCertifyScenarioRejectsBroadcastPrograms(t *testing.T) {
+	ctx := context.Background()
+	sc := &Scenario{Loss: 0.1, Seed: 1}
+
+	big, err := New("hypercube", Dimension(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !big.Implicit() {
+		t.Fatal("hypercube d=20 should build implicit")
+	}
+	p, err := NewProtocol("hypercube", big, DefaultRoundBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CertifyScenario(ctx, big, p, sc, 4); !errors.Is(err, ErrImplicit) {
+		t.Errorf("implicit hypercube: got %v, want ErrImplicit", err)
+	}
+
+	mat, err := New("hypercube", Dimension(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := NewProtocol("hypercube", implicitTwin(t, mat), DefaultRoundBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gp.Gen == nil {
+		t.Fatal("protocol on the implicit twin is not generator-backed")
+	}
+	if _, err := CertifyScenario(ctx, mat, gp, sc, 4); !errors.Is(err, ErrBadParam) {
+		t.Errorf("generator protocol on materialized hypercube: got %v, want ErrBadParam", err)
 	}
 }

@@ -142,8 +142,11 @@ func (st *jobStore) update(id string, mutate func(*Job)) {
 	st.mu.Unlock()
 }
 
-// finish applies the terminal mutation (status, result, error, checkpoint),
-// stamps the finish time, and persists the job to the spool.
+// finish applies the terminal mutation (status, result, error, checkpoint)
+// to a copy of the job, stamps the finish time, persists the copy to the
+// spool and only then publishes it, so a job that reads terminal through
+// get is already reloadable from the spool. A running job is never
+// evicted, and only its own goroutine mutates it, so the copy is current.
 func (st *jobStore) finish(id string, mutate func(*Job)) {
 	st.mu.Lock()
 	j, ok := st.jobs[id]
@@ -151,11 +154,14 @@ func (st *jobStore) finish(id string, mutate func(*Job)) {
 		st.mu.Unlock()
 		return
 	}
-	mutate(j)
-	j.Finished = time.Now().UTC()
-	persisted := *j
+	done := *j
 	st.mu.Unlock()
-	st.persist(&persisted)
+	mutate(&done)
+	done.Finished = time.Now().UTC()
+	st.persist(&done)
+	st.mu.Lock()
+	*j = done
+	st.mu.Unlock()
 }
 
 func (st *jobStore) persist(j *Job) {

@@ -234,3 +234,30 @@ func TestMetricsScenarioLines(t *testing.T) {
 		t.Fatalf("metrics missing scenario truncation counter:\n%s", text)
 	}
 }
+
+// TestCertifyScenarioBroadcastProgram400: a scenario certification of a
+// generator-backed protocol on an implicit network is a client error,
+// answered 400 before any delay-plan work, and the server keeps serving.
+func TestCertifyScenarioBroadcastProgram400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := AnalyzeRequest{
+		Kind:     "hypercube",
+		Params:   map[string]int{"dimension": 20},
+		Protocol: "hypercube",
+		Scenario: &ScenarioRequest{Scenario: systolic.Scenario{Loss: 0.05, Seed: 1}, Trials: 4},
+	}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/certify", req)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("implicit hypercube scenario: status %d (%s), want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "materialized network") {
+		t.Errorf("error body does not name the implicit network: %s", body)
+	}
+	ok := postJSON(t, ts.Client(), ts.URL+"/v1/certify", scenarioCertifyDB24(4, systolic.Scenario{Loss: 0.05, Seed: 1}))
+	ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("valid scenario after the rejected one: status %d", ok.StatusCode)
+	}
+}

@@ -584,12 +584,17 @@ func (s *Server) runCertifyScenario(ctx context.Context, n normalized) (any, err
 	if err != nil {
 		return nil, err
 	}
-	dp, err := s.cachedDelayPlan(n, pr)
-	if err != nil {
-		return nil, err
+	opts := []systolic.Option{systolic.WithRoundBudget(n.budget), s.roundsObserver()}
+	if !pr.Broadcast() {
+		// CertifyScenarioProgram rejects broadcast programs with a typed
+		// error before any work; only gossip programs need the delay plan.
+		dp, err := s.cachedDelayPlan(n, pr)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, systolic.WithDelayPlan(dp))
 	}
-	cert, err := systolic.CertifyScenarioProgram(ctx, pr, n.scenario, n.trials,
-		systolic.WithRoundBudget(n.budget), systolic.WithDelayPlan(dp), s.roundsObserver())
+	cert, err := systolic.CertifyScenarioProgram(ctx, pr, n.scenario, n.trials, opts...)
 	if err != nil {
 		return nil, err
 	}
