@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"fmt"
+	"slices"
+)
+
 // ArcSource is a generator-backed arc supplier: the implicit counterpart of
 // a materialized Digraph. Implementations compute a vertex's neighbor lists
 // arithmetically from its id, so a scan over an ArcSource never holds more
@@ -201,19 +206,57 @@ func (s *DigraphSource) OrInChunk(lo, hi int, table, out []uint64) {
 	}
 }
 
-// MaterializeSource expands an ArcSource into an explicit Digraph — the
-// small-n bridge differential tests use to pin a generator against the
-// materialized builder it mirrors. It must only be called on instances
-// whose arc slices fit comfortably in memory.
+// MaterializeSource drains an ArcSource into an explicit Digraph: the
+// materialized form of every arithmetic topology is its generator, drained.
+// Each vertex's OutArcs is called once and sorted; the out-lists share one
+// backing array sized by DegBound, and the in-lists are filled by a
+// counting pass over ascending sources, so both come out sorted without
+// per-arc insertion. Range, self-loop and duplicate checks panic with
+// AddArc's messages. Every list's capacity is capped at its length, so a
+// later AddArc copies the list instead of overwriting its neighbor's.
+//
+//gossip:allowpanic range guard: generators are deterministic and a bad arc is a construction bug, as in AddArc
 func MaterializeSource(src ArcSource) *Digraph {
 	n := src.N()
 	g := New(n)
 	buf := make([]int32, src.DegBound())
+	out := make([]int, 0, n*src.DegBound())
+	pos := make([]int, n+1) // in-degree of u in pos[u+1], then list offsets
 	for v := 0; v < n; v++ {
-		k := src.OutArcs(v, buf)
-		for _, u := range buf[:k] {
-			g.AddArc(v, int(u))
+		ids := buf[:src.OutArcs(v, buf)]
+		slices.Sort(ids)
+		start := len(out)
+		for i, id := range ids {
+			u := int(id)
+			if u < 0 || u >= n {
+				panic(fmt.Sprintf("graph: arc (%d,%d) out of range n=%d", v, u, n))
+			}
+			if u == v {
+				panic(fmt.Sprintf("graph: self-loop at %d", v))
+			}
+			if i > 0 && id == ids[i-1] {
+				panic(fmt.Sprintf("graph: duplicate arc (%d,%d)", v, u))
+			}
+			out = append(out, u)
+			pos[u+1]++
+		}
+		g.out[v] = out[start:len(out):len(out)]
+	}
+	for u := 0; u < n; u++ {
+		pos[u+1] += pos[u]
+	}
+	in := make([]int, len(out))
+	for v, adj := range g.out {
+		for _, u := range adj {
+			in[pos[u]] = v
+			pos[u]++
 		}
 	}
+	start := 0 // pos[u] now ends u's list
+	for u := 0; u < n; u++ {
+		g.in[u] = in[start:pos[u]:pos[u]]
+		start = pos[u]
+	}
+	g.m = len(out)
 	return g
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -67,6 +69,86 @@ func TestMaterializeSourceRoundTrip(t *testing.T) {
 	for _, a := range g.Arcs() {
 		if !back.HasArc(a.From, a.To) {
 			t.Errorf("round trip lost arc %v", a)
+		}
+	}
+}
+
+// listSource is an ArcSource stub that emits fixed out-lists, in the
+// given order, faults included.
+type listSource [][]int32
+
+func (s listSource) N() int { return len(s) }
+func (s listSource) DegBound() int {
+	deg := 0
+	for _, adj := range s {
+		deg = max(deg, len(adj))
+	}
+	return deg
+}
+func (s listSource) OutArcs(v int, buf []int32) int { return copy(buf, s[v]) }
+func (s listSource) InArcs(int, []int32) int        { return 0 }
+
+// recovered runs f and returns its panic message, or "" if it returns.
+func recovered(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestMaterializeSourceChecks: a source that emits an out-of-range id, a
+// self-loop or a duplicate panics with the message AddArc gives the same
+// arc, however the faulty id is ordered among valid ones.
+func TestMaterializeSourceChecks(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    listSource
+		addArc func(g *Digraph) // the same fault through AddArc
+	}{
+		{"out of range", listSource{{1}, {3, 0}, {0}}, func(g *Digraph) { g.AddArc(1, 3) }},
+		{"negative", listSource{{1}, {0, -1}, {0}}, func(g *Digraph) { g.AddArc(1, -1) }},
+		{"self-loop", listSource{{1}, {2, 1, 0}, {0}}, func(g *Digraph) { g.AddArc(1, 1) }},
+		{"duplicate", listSource{{1}, {2, 0, 2}, {0}}, func(g *Digraph) { g.AddArc(1, 2); g.AddArc(1, 2) }},
+	}
+	for _, c := range cases {
+		want := recovered(func() { c.addArc(New(c.src.N())) })
+		got := recovered(func() { MaterializeSource(c.src) })
+		if want == "" || got != want {
+			t.Errorf("%s: MaterializeSource panics %q, AddArc %q", c.name, got, want)
+		}
+	}
+}
+
+// TestMaterializeSourceIsolatesLists: every adjacency list of a drained
+// digraph is capped at its length, so adding any missing arc afterwards
+// changes only its tail's out-list and its head's in-list.
+func TestMaterializeSourceIsolatesLists(t *testing.T) {
+	src := NewDigraphSource(sampleDigraph())
+	n := src.N()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			g := MaterializeSource(src)
+			if u == v || g.HasArc(u, v) {
+				continue
+			}
+			ref := MaterializeSource(src)
+			g.AddArc(u, v)
+			for w := 0; w < n; w++ {
+				wantOut, wantIn := ref.Out(w), ref.In(w)
+				if w == u {
+					wantOut = slices.Insert(slices.Clone(wantOut), sort.SearchInts(wantOut, v), v)
+				}
+				if w == v {
+					wantIn = slices.Insert(slices.Clone(wantIn), sort.SearchInts(wantIn, u), u)
+				}
+				if !slices.Equal(g.Out(w), wantOut) || !slices.Equal(g.In(w), wantIn) {
+					t.Fatalf("AddArc(%d,%d): vertex %d out %v in %v, want out %v in %v",
+						u, v, w, g.Out(w), g.In(w), wantOut, wantIn)
+				}
+			}
 		}
 	}
 }

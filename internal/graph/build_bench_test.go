@@ -21,6 +21,8 @@ func BenchmarkTopologyBuild(b *testing.B) {
 		{"hypercube-d17", "hypercube", []systolic.Param{systolic.Dimension(17)}},
 		{"complete-n2048", "complete", []systolic.Param{systolic.Nodes(2048)}},
 		{"debruijn-2-19", "debruijn", []systolic.Param{systolic.Degree(2), systolic.Diameter(19)}},
+		{"butterfly-2-13", "butterfly", []systolic.Param{systolic.Degree(2), systolic.Diameter(13)}},
+		{"kautz-2-15", "kautz", []systolic.Param{systolic.Degree(2), systolic.Diameter(15)}},
 	}
 	for _, c := range cases {
 		net, err := systolic.New(c.kind, c.params...)

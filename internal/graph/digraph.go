@@ -25,8 +25,9 @@ type Arc struct {
 // Adjacency lists are kept sorted at insertion, so traversal order is
 // deterministic and no query writes to the digraph: once built, a Digraph
 // is safe for concurrent reads. AddArc costs O(log deg) to find the slot
-// plus the shift of any larger neighbors; the topology builders emit each
-// vertex's arcs in ascending order, so in practice it appends.
+// plus the shift of any larger neighbors, and appends when arcs arrive in
+// ascending order; the arithmetic topologies skip it altogether, built in
+// bulk by MaterializeSource.
 type Digraph struct {
 	n   int
 	m   int
@@ -83,8 +84,8 @@ func (g *Digraph) AddArc(u, v int) {
 }
 
 // insertSorted inserts x into the ascending slice s, reporting false (and
-// leaving s as is) when x is already present. Ascending insertions, the
-// topology builders' order, take the append fast path.
+// leaving s as is) when x is already present. Ascending insertions take
+// the append fast path.
 func insertSorted(s []int, x int) ([]int, bool) {
 	if k := len(s); k == 0 || s[k-1] < x {
 		return append(s, x), true

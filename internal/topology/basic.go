@@ -15,19 +15,9 @@ func Path(n int) *graph.Digraph {
 	return g
 }
 
-// Cycle returns the undirected cycle C_n (n ≥ 3) as a symmetric digraph.
-//
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
-func Cycle(n int) *graph.Digraph {
-	if n < 3 {
-		panic(fmt.Sprintf("topology: cycle needs n ≥ 3, got %d", n))
-	}
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
-	}
-	return g
-}
+// Cycle returns the undirected cycle C_n (n ≥ 3) as a symmetric digraph:
+// CycleGen, materialized.
+func Cycle(n int) *graph.Digraph { return graph.MaterializeSource(NewCycleGen(n)) }
 
 // DirectedCycle returns the directed cycle on n ≥ 2 vertices.
 //
@@ -84,43 +74,13 @@ func Grid(a, b int) *graph.Digraph {
 	return g
 }
 
-// Torus returns the a×b two-dimensional torus (both a, b ≥ 3).
-//
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
-func Torus(a, b int) *graph.Digraph {
-	if a < 3 || b < 3 {
-		panic(fmt.Sprintf("topology: torus needs a,b ≥ 3, got %dx%d", a, b))
-	}
-	g := graph.New(a * b)
-	id := func(r, c int) int { return r*b + c }
-	for r := 0; r < a; r++ {
-		for c := 0; c < b; c++ {
-			g.AddEdge(id(r, c), id(r, (c+1)%b))
-			g.AddEdge(id(r, c), id((r+1)%a, c))
-		}
-	}
-	return g
-}
+// Torus returns the a×b two-dimensional torus (both a, b ≥ 3): TorusGen,
+// materialized.
+func Torus(a, b int) *graph.Digraph { return graph.MaterializeSource(NewTorusGen(a, b)) }
 
-// Hypercube returns the D-dimensional hypercube Q_D on 2^D vertices.
-//
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
-func Hypercube(D int) *graph.Digraph {
-	if D < 1 {
-		panic(fmt.Sprintf("topology: hypercube needs D ≥ 1, got %d", D))
-	}
-	n := pow(2, D)
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		for b := 0; b < D; b++ {
-			w := v ^ (1 << b)
-			if v < w {
-				g.AddEdge(v, w)
-			}
-		}
-	}
-	return g
-}
+// Hypercube returns the D-dimensional hypercube Q_D on 2^D vertices:
+// HypercubeGen, materialized.
+func Hypercube(D int) *graph.Digraph { return graph.MaterializeSource(NewHypercubeGen(D)) }
 
 // CompleteKAryTree returns the complete d-ary tree of the given depth
 // (depth 0 is a single vertex). Vertices are numbered level by level with

@@ -16,28 +16,9 @@ type Butterfly struct {
 	D, d int
 }
 
-// NewButterfly constructs BF(d,D).
-//
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
+// NewButterfly constructs BF(d,D): ButterflyGen, materialized.
 func NewButterfly(d, D int) *Butterfly {
-	if d < 2 || D < 1 {
-		panic(fmt.Sprintf("topology: BF needs d ≥ 2, D ≥ 1, got d=%d D=%d", d, D))
-	}
-	b := &Butterfly{D: D, d: d}
-	dD := pow(d, D)
-	b.G = graph.New((D + 1) * dD)
-	for l := 1; l <= D; l++ {
-		for v := 0; v < dD; v++ {
-			x := ValueWord(v, d, D)
-			for beta := 0; beta < d; beta++ {
-				y := x.Clone()
-				y[l-1] = beta
-				b.G.AddArc(b.ID(x, l), b.ID(y, l-1))
-				b.G.AddArc(b.ID(y, l-1), b.ID(x, l))
-			}
-		}
-	}
-	return b
+	return &Butterfly{G: graph.MaterializeSource(NewButterflyGen(d, D)), D: D, d: d}
 }
 
 // ID returns the vertex id of (x, l).

@@ -1,14 +1,10 @@
 package topology
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // DeBruijn holds DB(d,D): vertices are the d^D base-d words of length D, and
 // vertex x_{D-1}…x_0 has an arc toward the d vertices x_{D-2}…x_0·β (shift
-// left, append β).
+// left, append β). G is DeBruijnGen, materialized.
 //
 // Deviation from the raw definition: the de Bruijn digraph formally contains
 // a self-loop at each constant word (β equal to the repeated digit). Loops
@@ -32,40 +28,8 @@ func NewDeBruijn(d, D int) *DeBruijn {
 	return newDB(d, D, false)
 }
 
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
 func newDB(d, D int, directed bool) *DeBruijn {
-	if d < 2 || D < 2 {
-		panic(fmt.Sprintf("topology: DB needs d ≥ 2, D ≥ 2, got d=%d D=%d", d, D))
-	}
-	db := &DeBruijn{D: D, d: d, directed: directed}
-	n := pow(d, D)
-	db.G = graph.New(n)
-	for v := 0; v < n; v++ {
-		x := ValueWord(v, d, D)
-		for beta := 0; beta < d; beta++ {
-			y := shiftAppend(x, beta)
-			to := WordValue(y, d)
-			if to == v {
-				continue // self-loop at a constant word
-			}
-			if !db.G.HasArc(v, to) {
-				db.G.AddArc(v, to)
-			}
-		}
-	}
-	if !directed {
-		db.G = db.G.SymmetricClosure()
-	}
-	return db
-}
-
-// shiftAppend returns x_{D-2}…x_0·β: shift the word left one position and
-// append digit β at index 0.
-func shiftAppend(x Word, beta int) Word {
-	y := make(Word, len(x))
-	copy(y[1:], x[:len(x)-1])
-	y[0] = beta
-	return y
+	return &DeBruijn{G: graph.MaterializeSource(NewDeBruijnGen(d, D, directed)), D: D, d: d, directed: directed}
 }
 
 // Directed reports whether db is the directed de Bruijn digraph.

@@ -25,9 +25,11 @@
 //   - de Bruijn, directed and undirected — DeBruijnGen
 //   - Kautz, directed and undirected — KautzGen
 //
-// Each generator reproduces its materialized builder exactly: same vertex
-// numbering, same arc set (differential-pinned in generators_test.go), so
-// scans over either representation are byte-identical. The remaining
+// For these families the materialized form is the generator, drained:
+// Hypercube, NewKautz and the other builders are graph.MaterializeSource
+// over it, so both representations share one vertex numbering and one arc
+// set by construction, and scans over either are byte-identical. Reference
+// builders in oracle_test.go pin the generators arc for arc. The remaining
 // families stay materialize-only: paths/grids/trees/stars are cheap and
 // small in practice, complete graphs are quadratic by nature (the systolic
 // registry rejects absurd sizes with ErrBadParam), shuffle-exchange merges
@@ -57,7 +59,7 @@
 // are scan-eligible but NOT schedule-eligible: their matching partition
 // comes from graph.GreedyEdgeColoring, which orders edges by the built
 // arc slice — the classes are data-dependent, not arithmetic — so their
-// periodic protocols keep requiring the materialized builders, and the
+// periodic protocols keep requiring the materialized digraph, and the
 // systolic layer answers ErrImplicit (naming the eligible set) when one
 // is requested on an implicit instance.
 package topology

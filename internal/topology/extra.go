@@ -32,25 +32,6 @@ func ShuffleExchange(D int) *graph.Digraph {
 	return g
 }
 
-// CCC returns the cube-connected-cycles network CCC(D) on D·2^D vertices:
-// vertex (w, i) has cycle edges to (w, i±1 mod D) and a cube edge to
-// (w ⊕ 2^i, i). Requires D ≥ 3 so that the cycles are simple.
-//
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
-func CCC(D int) *graph.Digraph {
-	if D < 3 {
-		panic(fmt.Sprintf("topology: CCC needs D ≥ 3, got %d", D))
-	}
-	n := D * pow(2, D)
-	g := graph.New(n)
-	id := func(w, i int) int { return i*pow(2, D) + w }
-	for w := 0; w < pow(2, D); w++ {
-		for i := 0; i < D; i++ {
-			g.AddEdge(id(w, i), id(w, (i+1)%D))
-			if w < w^(1<<i) {
-				g.AddEdge(id(w, i), id(w^(1<<i), i))
-			}
-		}
-	}
-	return g
-}
+// CCC returns the cube-connected-cycles network CCC(D) on D·2^D vertices
+// (D ≥ 3, so that the cycles are simple): CCCGen, materialized.
+func CCC(D int) *graph.Digraph { return graph.MaterializeSource(NewCCCGen(D)) }

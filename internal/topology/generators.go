@@ -10,11 +10,13 @@ import (
 // This file implements graph.ArcSource generators for the arithmetic
 // families: topologies whose arcs are computable from the vertex id alone,
 // so a broadcast scan can stream them without ever materializing arc
-// slices. Every generator is differential-pinned against its materialized
-// builder (same vertex numbering, same arc set) — see generators_test.go —
-// and every neighbor method honors the //gossip:hotpath zero-alloc
-// contract: per-vertex scratch lives in fixed-size local arrays, and
-// neighbor ids are written into the caller's buffer by index.
+// slices. Each generator is the family's only definition: its materialized
+// builder (Hypercube, NewKautz, …) is graph.MaterializeSource over it. The
+// generators are differential-pinned against reference builders kept in
+// oracle_test.go (same vertex numbering, same arc set), and every neighbor
+// method honors the //gossip:hotpath zero-alloc contract: per-vertex
+// scratch lives in fixed-size local arrays, and neighbor ids are written
+// into the caller's buffer by index.
 //
 // Hypercube, de Bruijn (both variants), cycle, torus and CCC additionally
 // implement graph.OrGatherer: the streaming flood kernel's fast path folds
@@ -42,7 +44,7 @@ func checkGenSize(kind string, base, exp, factor int) int {
 }
 
 // HypercubeGen is the arithmetic hypercube Q_D: neighbor i of v is v with
-// bit i flipped. It mirrors Hypercube(D) exactly.
+// bit i flipped. Hypercube(D) materializes it.
 type HypercubeGen struct {
 	d int // dimension
 	n int
@@ -119,7 +121,7 @@ func orRuns4(o, a, b, c, d []uint64) {
 	}
 }
 
-// CycleGen is the arithmetic cycle C_n (n ≥ 3), mirroring Cycle(n).
+// CycleGen is the arithmetic cycle C_n (n ≥ 3); Cycle(n) materializes it.
 type CycleGen struct {
 	n int
 }
@@ -179,8 +181,8 @@ func (c *CycleGen) OrInChunk(lo, hi int, table, out []uint64) {
 	}
 }
 
-// TorusGen is the arithmetic a×b torus (a, b ≥ 3), mirroring Torus(a, b):
-// vertex (r, c) has id r·b + c.
+// TorusGen is the arithmetic a×b torus (a, b ≥ 3); Torus(a, b)
+// materializes it. Vertex (r, c) has id r·b + c.
 type TorusGen struct {
 	a, b int
 	n    int
@@ -257,9 +259,9 @@ func (t *TorusGen) OrInChunk(lo, hi int, table, out []uint64) {
 	}
 }
 
-// CCCGen is the arithmetic cube-connected-cycles CCC(D) (D ≥ 3), mirroring
-// CCC(D): vertex (w, i) has id i·2^D + w, cycle neighbors (w, i±1 mod D)
-// and cube neighbor (w ⊕ 2^i, i).
+// CCCGen is the arithmetic cube-connected-cycles CCC(D) (D ≥ 3); CCC(D)
+// materializes it. Vertex (w, i) has id i·2^D + w, cycle neighbors
+// (w, i±1 mod D) and cube neighbor (w ⊕ 2^i, i).
 type CCCGen struct {
 	d    int // dimension
 	n    int
@@ -325,8 +327,8 @@ func (c *CCCGen) OrInChunk(lo, hi int, table, out []uint64) {
 	}
 }
 
-// ButterflyGen is the arithmetic unwrapped Butterfly BF(d,D), mirroring
-// NewButterfly(d, D): vertex (x, l) has id l·d^D + value(x); (x, l) with
+// ButterflyGen is the arithmetic unwrapped Butterfly BF(d,D); NewButterfly
+// materializes it. Vertex (x, l) has id l·d^D + value(x); (x, l) with
 // l > 0 is joined to the d vertices (x with digit l−1 replaced, l−1), and
 // symmetrically upward.
 type ButterflyGen struct {
@@ -388,11 +390,11 @@ func (b *ButterflyGen) OutArcs(v int, buf []int32) int {
 //gossip:hotpath
 func (b *ButterflyGen) InArcs(v int, buf []int32) int { return b.OutArcs(v, buf) }
 
-// DeBruijnGen is the arithmetic de Bruijn DB(d,D) / DB→(d,D), mirroring
-// NewDeBruijn / NewDeBruijnDigraph: successors of v are (v mod d^(D−1))·d+β,
-// predecessors are γ·d^(D−1) + v/d, with self-loops (at constant words)
-// omitted; the undirected variant is the symmetric closure, so both
-// neighbor lists are the deduplicated union.
+// DeBruijnGen is the arithmetic de Bruijn DB(d,D) / DB→(d,D); NewDeBruijn
+// and NewDeBruijnDigraph materialize it. Successors of v are
+// (v mod d^(D−1))·d+β, predecessors are γ·d^(D−1) + v/d, with self-loops
+// (at constant words) omitted; the undirected variant is the symmetric
+// closure, so both neighbor lists are the deduplicated union.
 type DeBruijnGen struct {
 	d, dim   int // degree, diameter D
 	m        int // d^(D−1)
@@ -570,10 +572,10 @@ func (db *DeBruijnGen) foldConstant(v int, table []uint64) uint64 {
 	return w
 }
 
-// KautzGen is the arithmetic Kautz K(d,D) / K→(d,D), mirroring NewKautz /
-// NewKautzDigraph including its vertex numbering: the builder enumerates
-// the adjacent-digits-differ words lexicographically by (x_{D−1},…,x_0),
-// which admits a closed-form rank codec — the first digit has d+1 choices
+// KautzGen is the arithmetic Kautz K(d,D) / K→(d,D); NewKautz and
+// NewKautzDigraph materialize it. Vertices number the adjacent-digits-differ
+// words lexicographically by (x_{D−1},…,x_0), which admits a closed-form
+// rank codec (Kautz.ID and Kautz.Label) — the first digit has d+1 choices
 // and every later digit d choices, so
 //
 //	id(x) = x_{D−1}·d^(D−1) + Σ_{i<D−1} r_i·d^i,  r_i = x_i − [x_i > x_{i+1}]

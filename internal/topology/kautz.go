@@ -10,12 +10,12 @@ import (
 // an alphabet of d+1 symbols in which adjacent digits differ; vertex
 // x_{D-1}…x_0 has an arc toward the d vertices x_{D-2}…x_0·β with β ≠ x_0.
 // Unlike the de Bruijn digraph, K(d,D) has no self-loops by construction.
+// G is KautzGen, materialized, and ID/Label are its rank codec.
 type Kautz struct {
 	G        *graph.Digraph
 	D, d     int
 	directed bool
-	ids      map[string]int
-	words    []Word
+	gen      *KautzGen
 }
 
 // NewKautzDigraph constructs the directed K→(d,D).
@@ -28,67 +28,40 @@ func NewKautz(d, D int) *Kautz {
 	return newKautz(d, D, false)
 }
 
-//gossip:allowpanic parameter guard: the systolic registry validates topology parameters before building
 func newKautz(d, D int, directed bool) *Kautz {
-	if d < 2 || D < 2 {
-		panic(fmt.Sprintf("topology: Kautz needs d ≥ 2, D ≥ 2, got d=%d D=%d", d, D))
-	}
-	k := &Kautz{D: D, d: d, directed: directed, ids: make(map[string]int)}
-	k.enumerate(make(Word, D), D-1)
-	k.G = graph.New(len(k.words))
-	for id, x := range k.words {
-		for beta := 0; beta <= d; beta++ {
-			if beta == x[0] {
-				continue
-			}
-			y := shiftAppend(x, beta)
-			to, ok := k.ids[y.String()]
-			if !ok {
-				panic("topology: Kautz shift left the vertex set")
-			}
-			if !k.G.HasArc(id, to) {
-				k.G.AddArc(id, to)
-			}
-		}
-	}
-	if !directed {
-		k.G = k.G.SymmetricClosure()
-	}
-	return k
-}
-
-// enumerate fills words and ids with every valid Kautz word, assigning ids
-// in lexicographic order of (x_{D-1}, …, x_0).
-func (k *Kautz) enumerate(buf Word, pos int) {
-	for digit := 0; digit <= k.d; digit++ {
-		if pos < k.D-1 && buf[pos+1] == digit {
-			continue
-		}
-		buf[pos] = digit
-		if pos == 0 {
-			w := buf.Clone()
-			k.ids[w.String()] = len(k.words)
-			k.words = append(k.words, w)
-		} else {
-			k.enumerate(buf, pos-1)
-		}
-	}
+	gen := NewKautzGen(d, D, directed)
+	return &Kautz{G: graph.MaterializeSource(gen), D: D, d: d, directed: directed, gen: gen}
 }
 
 // Directed reports whether k is the directed Kautz digraph.
 func (k *Kautz) Directed() bool { return k.directed }
 
 // N returns the number of vertices, (d+1)·d^(D-1).
-func (k *Kautz) N() int { return len(k.words) }
+func (k *Kautz) N() int { return k.gen.N() }
 
 // ID returns the vertex id of word x, or -1 if x is not a Kautz word.
 func (k *Kautz) ID(x Word) int {
-	id, ok := k.ids[x.String()]
-	if !ok {
+	if len(x) != k.D {
 		return -1
 	}
-	return id
+	var a [64]int
+	for i, c := range x {
+		if c < 0 || c > k.d || i > 0 && c == x[i-1] {
+			return -1
+		}
+		a[i] = c
+	}
+	return k.gen.encode(&a)
 }
 
 // Label returns the word of a vertex id.
-func (k *Kautz) Label(id int) Word { return k.words[id] }
+//
+//gossip:allowpanic range guard: ids come from iterating the built network's vertices
+func (k *Kautz) Label(id int) Word {
+	if id < 0 || id >= k.N() {
+		panic(fmt.Sprintf("topology: Kautz id %d out of range [0,%d)", id, k.N()))
+	}
+	var a [64]int
+	k.gen.decode(id, &a)
+	return append(Word(nil), a[:k.D]...)
+}

@@ -17,7 +17,7 @@ import (
 // schedule compiler can execute them without materializing an arc slice.
 // De Bruijn and Kautz graphs are not eligible: their matching partition is
 // greedy (data-dependent), so their periodic protocols keep requiring the
-// materialized builders.
+// materialized digraph.
 
 // ExchangeClasses is a proper edge coloring with arithmetic partner maps:
 // the color classes partition the edge set, every class is a partial

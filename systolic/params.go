@@ -204,13 +204,3 @@ func checkSizeLimit(kind string, base, exp, factor, limit int) error {
 	}
 	return nil
 }
-
-// sizeOf computes factor·base^exp without overflow concerns after a
-// checkSizeLimit pass; callers use it to decide materialized vs implicit.
-func sizeOf(base, exp, factor int) int {
-	n := factor
-	for i := 0; i < exp; i++ {
-		n *= base
-	}
-	return n
-}

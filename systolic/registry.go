@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/bounds"
+	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -137,17 +138,8 @@ func init() {
 		if err := checkImplicitSize("cycle", 1, 0, n); err != nil {
 			return nil, err
 		}
-		gen := topology.NewCycleGen(n)
-		sched := topology.NewSchedule(topology.NewCycleClasses(n))
-		if n > materializeThreshold {
-			net := PlainImplicit("cycle", gen, 1)
-			net.Sched = sched
-			return net, nil
-		}
-		net := Plain("cycle", topology.Cycle(n))
-		net.Gen = gen
-		net.Sched = sched
-		return net, nil
+		net := PlainImplicit("cycle", topology.NewCycleGen(n), 1)
+		return generated(net, topology.NewSchedule(topology.NewCycleClasses(n))), nil
 	}})
 	Register("complete", Builder{Params: []string{ParamNodes}, Build: func(p Params) (*Network, error) {
 		n, err := p.atLeast("complete", ParamNodes, 1)
@@ -171,17 +163,8 @@ func init() {
 		if err := checkImplicitSize("hypercube", 2, D, 1); err != nil {
 			return nil, err
 		}
-		gen := topology.NewHypercubeGen(D)
-		sched := topology.NewSchedule(topology.NewHypercubeClasses(D))
-		if sizeOf(2, D, 1) > materializeThreshold {
-			net := PlainImplicit("hypercube", gen, max(D-1, 1))
-			net.Sched = sched
-			return net, nil
-		}
-		net := Plain("hypercube", topology.Hypercube(D))
-		net.Gen = gen
-		net.Sched = sched
-		return net, nil
+		net := PlainImplicit("hypercube", topology.NewHypercubeGen(D), max(D-1, 1))
+		return generated(net, topology.NewSchedule(topology.NewHypercubeClasses(D))), nil
 	}})
 	Register("grid", Builder{Params: []string{ParamRows, ParamCols}, Build: func(p Params) (*Network, error) {
 		a, err := p.atLeast("grid", ParamRows, 1)
@@ -209,17 +192,8 @@ func init() {
 		if err := checkImplicitSize("torus", b, 1, a); err != nil {
 			return nil, err
 		}
-		gen := topology.NewTorusGen(a, b)
-		sched := topology.NewSchedule(topology.NewTorusClasses(a, b))
-		if a*b > materializeThreshold {
-			net := PlainImplicit("torus", gen, 3)
-			net.Sched = sched
-			return net, nil
-		}
-		net := Plain("torus", topology.Torus(a, b))
-		net.Gen = gen
-		net.Sched = sched
-		return net, nil
+		net := PlainImplicit("torus", topology.NewTorusGen(a, b), 3)
+		return generated(net, topology.NewSchedule(topology.NewTorusClasses(a, b))), nil
 	}})
 	Register("tree", Builder{Params: []string{ParamDegree, ParamDepth}, Build: func(p Params) (*Network, error) {
 		d, err := p.atLeast("tree", ParamDegree, 1)
@@ -253,17 +227,8 @@ func init() {
 		if err := checkImplicitSize("ccc", 2, D, D); err != nil {
 			return nil, err
 		}
-		gen := topology.NewCCCGen(D)
-		sched := topology.NewSchedule(topology.NewCCCClasses(D))
-		if sizeOf(2, D, D) > materializeThreshold {
-			net := PlainImplicit("ccc", gen, 2)
-			net.Sched = sched
-			return net, nil
-		}
-		net := Plain("ccc", topology.CCC(D))
-		net.Gen = gen
-		net.Sched = sched
-		return net, nil
+		net := PlainImplicit("ccc", topology.NewCCCGen(D), 2)
+		return generated(net, topology.NewSchedule(topology.NewCCCClasses(D))), nil
 	}})
 	Register("butterfly", Builder{Params: []string{ParamDegree, ParamDiameter}, Build: func(p Params) (*Network, error) {
 		d, D, err := degreeDiameter(p, "butterfly", 2, 1)
@@ -273,19 +238,8 @@ func init() {
 		if err := checkImplicitSize("butterfly", d, D, D+1); err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("BF(%d,%d)", d, D)
-		gen := topology.NewButterflyGen(d, D)
-		sched := topology.NewSchedule(topology.NewButterflyClasses(d, D))
-		if sizeOf(d, D, D+1) > materializeThreshold {
-			net := ClassifiedImplicit(name, gen, bounds.BF, d)
-			net.Sched = sched
-			return net, nil
-		}
-		bf := topology.NewButterfly(d, D)
-		net := Classified(name, bf.G, bounds.BF, d)
-		net.Gen = gen
-		net.Sched = sched
-		return net, nil
+		net := ClassifiedImplicit(fmt.Sprintf("BF(%d,%d)", d, D), topology.NewButterflyGen(d, D), bounds.BF, d)
+		return generated(net, topology.NewSchedule(topology.NewButterflyClasses(d, D))), nil
 	}})
 	Register("wbf", Builder{Params: []string{ParamDegree, ParamDiameter}, Build: func(p Params) (*Network, error) {
 		d, D, err := degreeDiameter(p, "wbf", 2, 2)
@@ -317,15 +271,8 @@ func init() {
 		if err := checkImplicitSize("debruijn", d, D, 1); err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("DB(%d,%d)", d, D)
-		gen := topology.NewDeBruijnGen(d, D, false)
-		if sizeOf(d, D, 1) > materializeThreshold {
-			return ClassifiedImplicit(name, gen, bounds.DB, d), nil
-		}
-		db := topology.NewDeBruijn(d, D)
-		net := Classified(name, db.G, bounds.DB, d)
-		net.Gen = gen
-		return net, nil
+		net := ClassifiedImplicit(fmt.Sprintf("DB(%d,%d)", d, D), topology.NewDeBruijnGen(d, D, false), bounds.DB, d)
+		return generated(net, nil), nil
 	}})
 	Register("debruijn-digraph", Builder{Params: []string{ParamDegree, ParamDiameter}, Build: func(p Params) (*Network, error) {
 		d, D, err := degreeDiameter(p, "debruijn-digraph", 2, 2)
@@ -335,15 +282,8 @@ func init() {
 		if err := checkImplicitSize("debruijn-digraph", d, D, 1); err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("DB->(%d,%d)", d, D)
-		gen := topology.NewDeBruijnGen(d, D, true)
-		if sizeOf(d, D, 1) > materializeThreshold {
-			return ClassifiedImplicit(name, gen, bounds.DB, d), nil
-		}
-		db := topology.NewDeBruijnDigraph(d, D)
-		net := Classified(name, db.G, bounds.DB, d)
-		net.Gen = gen
-		return net, nil
+		net := ClassifiedImplicit(fmt.Sprintf("DB->(%d,%d)", d, D), topology.NewDeBruijnGen(d, D, true), bounds.DB, d)
+		return generated(net, nil), nil
 	}})
 	Register("kautz", Builder{Params: []string{ParamDegree, ParamDiameter}, Build: func(p Params) (*Network, error) {
 		d, D, err := degreeDiameter(p, "kautz", 2, 2)
@@ -353,15 +293,8 @@ func init() {
 		if err := checkImplicitSize("kautz", d, D, d+1); err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("K(%d,%d)", d, D)
-		gen := topology.NewKautzGen(d, D, false)
-		if sizeOf(d, D, d+1) > materializeThreshold {
-			return ClassifiedImplicit(name, gen, bounds.Kautz, d), nil
-		}
-		k := topology.NewKautz(d, D)
-		net := Classified(name, k.G, bounds.Kautz, d)
-		net.Gen = gen
-		return net, nil
+		net := ClassifiedImplicit(fmt.Sprintf("K(%d,%d)", d, D), topology.NewKautzGen(d, D, false), bounds.Kautz, d)
+		return generated(net, nil), nil
 	}})
 	Register("kautz-digraph", Builder{Params: []string{ParamDegree, ParamDiameter}, Build: func(p Params) (*Network, error) {
 		d, D, err := degreeDiameter(p, "kautz-digraph", 2, 2)
@@ -371,16 +304,20 @@ func init() {
 		if err := checkImplicitSize("kautz-digraph", d, D, d+1); err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf("K->(%d,%d)", d, D)
-		gen := topology.NewKautzGen(d, D, true)
-		if sizeOf(d, D, d+1) > materializeThreshold {
-			return ClassifiedImplicit(name, gen, bounds.Kautz, d), nil
-		}
-		k := topology.NewKautzDigraph(d, D)
-		net := Classified(name, k.G, bounds.Kautz, d)
-		net.Gen = gen
-		return net, nil
+		net := ClassifiedImplicit(fmt.Sprintf("K->(%d,%d)", d, D), topology.NewKautzGen(d, D, true), bounds.Kautz, d)
+		return generated(net, nil), nil
 	}})
+}
+
+// generated finishes a generator-eligible kind from its implicit network:
+// it attaches the exchange-class schedule (nil for kinds without one) and,
+// at or below materializeThreshold, the generator drained into G.
+func generated(net *Network, sched *topology.Schedule) *Network {
+	net.Sched = sched
+	if net.Gen.N() <= materializeThreshold {
+		net.G = graph.MaterializeSource(net.Gen)
+	}
+	return net
 }
 
 func degreeDiameter(p Params, kind string, minD, minDiam int) (d, D int, err error) {

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // group coalesces concurrent identical requests (singleflight with
@@ -15,6 +18,21 @@ import (
 type group struct {
 	mu      sync.Mutex
 	flights map[string]*flight
+	panics  *atomic.Int64 // counts computations that panicked
+}
+
+// errPanic is the terminal error of a computation that panicked: the
+// panic is recovered on the goroutine that ran it, so one bad request
+// answers 500 instead of killing the process.
+var errPanic = errors.New("serve: internal error: computation panicked")
+
+// recoverPanic, deferred by a computation's runner, turns a panic into an
+// errPanic-wrapped *err and counts it.
+func recoverPanic(panics *atomic.Int64, err *error) {
+	if r := recover(); r != nil {
+		panics.Add(1)
+		*err = fmt.Errorf("%w: %v", errPanic, r)
+	}
 }
 
 type flight struct {
@@ -97,11 +115,15 @@ func (g *group) join(parent context.Context, key string, capHint int) (sub *subs
 
 // run executes the computation for a flight the caller created: compute
 // receives the flight's context and an emit callback, and its return error
-// becomes the flight's terminal error. run removes the flight from the
-// group before notifying subscribers, so a request arriving after the
-// flight finished starts fresh (and will typically hit the result cache).
+// becomes the flight's terminal error; a panic becomes an errPanic. run
+// removes the flight from the group before notifying subscribers, so a
+// request arriving after the flight finished starts fresh (and will
+// typically hit the result cache).
 func (g *group) run(key string, f *flight, compute func(ctx context.Context, emit func(any)) error) {
-	err := compute(f.ctx, f.emit)
+	err := func() (err error) {
+		defer recoverPanic(g.panics, &err)
+		return compute(f.ctx, f.emit)
+	}()
 
 	g.mu.Lock()
 	if g.flights[key] == f {

@@ -29,6 +29,7 @@ type Metrics struct {
 	inflight      atomic.Int64 // computations currently running
 	queued        atomic.Int64 // computations waiting for a worker
 	jobsDone      atomic.Int64 // async jobs finished (any terminal status)
+	panics        atomic.Int64 // computations that panicked and were recovered
 
 	scenarioTrials    atomic.Int64 // Monte-Carlo scenario trials executed
 	scenarioTruncated atomic.Int64 // scenario trials censored at their round budget
@@ -69,6 +70,7 @@ type Snapshot struct {
 	Inflight      int64            `json:"inflight"`
 	Queued        int64            `json:"queued"`
 	JobsDone      int64            `json:"jobs_done"`
+	Panics        int64            `json:"panics"`
 
 	ScenarioTrials    int64 `json:"scenario_trials"`
 	ScenarioTruncated int64 `json:"scenario_trials_truncated"`
@@ -106,6 +108,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Inflight:      m.inflight.Load(),
 		Queued:        m.queued.Load(),
 		JobsDone:      m.jobsDone.Load(),
+		Panics:        m.panics.Load(),
 
 		ScenarioTrials:    m.scenarioTrials.Load(),
 		ScenarioTruncated: m.scenarioTruncated.Load(),
@@ -153,6 +156,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("gossipd_rounds_simulated_total", "Communication rounds simulated across all sessions.", s.Rounds)
 	counter("gossipd_rejected_total", "Requests rejected with 429 because the worker queue was full.", s.Rejected)
 	counter("gossipd_jobs_done_total", "Async jobs that reached a terminal status.", s.JobsDone)
+	counter("gossipd_panics_total", "Computations that panicked; each answered 500 or failed its job.", s.Panics)
 	counter("gossipd_scenario_trials_total", "Monte-Carlo scenario trials executed.", s.ScenarioTrials)
 	counter("gossipd_scenario_trials_truncated_total", "Scenario trials censored at their round budget.", s.ScenarioTruncated)
 	counter("gossipd_broadcast_sources_total", "Sources measured by all-sources/subset broadcast scans.", s.BroadcastSources)

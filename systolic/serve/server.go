@@ -139,6 +139,7 @@ func New(cfg Config) (*Server, error) {
 		sem:      make(chan struct{}, cfg.Workers),
 		started:  time.Now(),
 	}
+	s.flights.panics = &s.metrics.panics
 	s.base, s.baseCancel = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -910,7 +911,10 @@ func (s *Server) submitAsync(w http.ResponseWriter, op, key string, run func(ctx
 		defer done()
 		defer s.metrics.jobsDone.Add(1)
 		s.jobs.start(job.ID)
-		v, err := run(s.base, job.ID)
+		v, err := func() (v any, err error) {
+			defer recoverPanic(&s.metrics.panics, &err)
+			return run(s.base, job.ID)
+		}()
 		s.jobs.finish(job.ID, func(j *Job) {
 			switch {
 			case err == nil:

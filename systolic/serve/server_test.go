@@ -885,3 +885,57 @@ func TestHealthzMetricsAndDrain(t *testing.T) {
 		t.Errorf("health status %v, want draining", h["status"])
 	}
 }
+
+// TestPanickingComputationAnswers500: a computation that panics on its
+// flight goroutine (NewProtocol's doubling builder on the 24-vertex CCC)
+// answers 500 with a typed internal error, is counted on /metrics, leaves
+// no flight behind, and the same server keeps serving; an async job whose
+// run panics outside any flight fails instead of killing the process.
+func TestPanickingComputationAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	bad := AnalyzeRequest{Kind: "ccc", Params: map[string]int{"dimension": 3}, Protocol: "doubling"}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/analyze", bad)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking analyze answered %d, want 500", resp.StatusCode)
+	}
+	if body := decodeBody[map[string]string](t, resp); !strings.Contains(body["error"], errPanic.Error()) {
+		t.Errorf("error body %q does not name the panic", body["error"])
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), "gossipd_panics_total 1\n") {
+		t.Errorf("metrics do not count one panic:\n%s", text)
+	}
+	s.flights.mu.Lock()
+	left := len(s.flights.flights)
+	s.flights.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d flights left in the group after the panic", left)
+	}
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/analyze", analyzeDB25)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after the panic answered %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	rec := httptest.NewRecorder()
+	s.submitAsync(rec, "analyze", "panic-job", func(context.Context, string) (any, error) { panic("boom") })
+	accepted := decodeBody[struct {
+		ID string `json:"id"`
+	}](t, rec.Result())
+	var job Job
+	waitFor(t, 15*time.Second, "panicking async job to finish", func() bool {
+		job, _ = s.jobs.get(accepted.ID)
+		return job.terminal()
+	})
+	if job.Status != JobFailed || !strings.Contains(job.Error, "boom") {
+		t.Errorf("panicking job finished as %s (%q), want failed naming the panic", job.Status, job.Error)
+	}
+	if got := s.Metrics().Snapshot().Panics; got != 2 {
+		t.Errorf("panics = %d after the async job, want 2", got)
+	}
+}
