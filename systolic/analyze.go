@@ -77,25 +77,22 @@ func (s *Session) Analyze(ctx context.Context) (*Report, error) {
 
 // rootFor returns the λ₀ at which the paper's norm cap for the protocol's
 // period equals 1 (so ‖M(λ₀)‖ ≤ 1 by Lemma 4.3 / 6.1), or 0 when no such
-// root applies (s = 2).
+// root applies (s = 2). It reads the general entry of Evaluate's
+// coefficient table, so each (mode, period) root is solved once.
 func rootFor(p *gossip.Protocol) float64 {
 	if p.Systolic() && p.Period == 2 {
 		return 0
 	}
-	if p.Mode == gossip.FullDuplex {
-		if !p.Systolic() {
-			_, l := bounds.GeneralFullDuplexInfinity()
-			return l
-		}
-		_, l := bounds.GeneralFullDuplex(p.Period)
-		return l
-	}
+	return coefficientsFor(coeffKey{full: p.Mode == gossip.FullDuplex, period: requestPeriod(p)}).root
+}
+
+// requestPeriod is the Request.Period that bounds p: its period, or
+// NonSystolic for a finite protocol.
+func requestPeriod(p *gossip.Protocol) int {
 	if !p.Systolic() {
-		_, l := bounds.GeneralHalfDuplexInfinity()
-		return l
+		return NonSystolic
 	}
-	_, l := bounds.GeneralHalfDuplex(p.Period)
-	return l
+	return p.Period
 }
 
 func theorem41Holds(n, measured int, lambda float64) bool {

@@ -2,6 +2,7 @@ package systolic
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bounds"
 	"repro/internal/gossip"
@@ -44,7 +45,8 @@ type Bound struct {
 // directed/half-duplex, the Section 6 analogue for full-duplex). Use
 // NonSystolic for the s→∞ corollaries.
 func GeneralBound(mode Mode, period int) (e, lambda float64) {
-	return generalFor(Request{Mode: mode, Period: period})
+	c := coefficientsFor(coeffKey{full: mode == gossip.FullDuplex, period: period})
+	return c.best.Coefficient, c.root
 }
 
 // Evaluate returns the best lower bound the paper provides for the network
@@ -55,6 +57,12 @@ func GeneralBound(mode Mode, period int) (e, lambda float64) {
 // n and the family classification alone — the directed-diameter refinement
 // needs explicit adjacency and is skipped (it only applies to tiny
 // instances anyway).
+//
+// The coefficient, its λ and its Source depend only on the mode, the period
+// and, for a Lemma 3.1 family, the family and degree parameter; they are
+// computed once per process and kept in a bounded table shared by every
+// caller, so a repeated key costs one map lookup. Rounds depends on the
+// instance (n and the diameter) and is computed on every call.
 func Evaluate(net *Network, req Request) Bound {
 	n := net.N()
 	if req.Period == 2 {
@@ -72,25 +80,19 @@ func Evaluate(net *Network, req Request) Bound {
 		}
 		return Bound{Rounds: bounds.STwoLowerBound(n), Source: "s=2 cycle argument"}
 	}
-	gen, lam := generalFor(req)
-	best := Bound{Coefficient: gen, Lambda: lam, Source: "general"}
+	k := coeffKey{full: req.Mode == gossip.FullDuplex, period: req.Period}
 	if net.FamilyKnown {
-		sep := bounds.LemmaSeparator(net.Family, net.DegreeParam)
-		spec, lamS := separatorFor(sep, req)
-		if spec > best.Coefficient {
-			best = Bound{Coefficient: spec, Lambda: lamS, Source: "separator"}
-		}
-		if diam := bounds.DiameterCoefficient(net.Family, net.DegreeParam); diam > best.Coefficient {
-			best = Bound{Coefficient: diam, Lambda: 0, Source: "diameter"}
-		}
+		k.familyKnown, k.family, k.degree = true, net.Family, net.DegreeParam
 	}
+	c := coefficientsFor(k)
+	best := c.best
 	// Rounds is certified at finite n by the strongest of three
 	// unconditional facts: Theorem 4.1 at the general root (which holds
 	// regardless of which refinement gave the best coefficient), the
 	// information bound ⌈log₂ n⌉ (knowledge at most doubles per round in
 	// every mode), and the directed diameter (an item crosses one arc per
 	// round). The diameter is only computed for moderate instance sizes.
-	best.Rounds = bounds.Theorem41LowerBound(n, lam)
+	best.Rounds = bounds.Theorem41LowerBound(n, c.root)
 	if lg := ceilLog2(n); lg > best.Rounds {
 		best.Rounds = lg
 	}
@@ -110,30 +112,108 @@ func ceilLog2(n int) int {
 	return lg
 }
 
-func generalFor(req Request) (e, lambda float64) {
-	if req.Mode == gossip.FullDuplex {
-		if req.Period == NonSystolic {
-			return bounds.GeneralFullDuplexInfinity()
-		}
-		return bounds.GeneralFullDuplex(req.Period)
-	}
-	if req.Period == NonSystolic {
-		return bounds.GeneralHalfDuplexInfinity()
-	}
-	return bounds.GeneralHalfDuplex(req.Period)
+// coeffKey names one entry of the coefficient table. Directed and
+// half-duplex share their bounds (Sections 4–5), so the mode reduces to
+// full. A general-only key leaves the family fields zero.
+type coeffKey struct {
+	full        bool
+	period      int
+	familyKnown bool
+	family      Family
+	degree      int
 }
 
-func separatorFor(sep bounds.Separator, req Request) (e, lambda float64) {
-	if req.Mode == gossip.FullDuplex {
-		if req.Period == NonSystolic {
-			return bounds.SeparatorFullDuplexInfinity(sep)
-		}
-		return bounds.SeparatorFullDuplex(sep, req.Period)
+// coeffs is one table entry: the general root λ₀ (Theorem 4.1's certified
+// rounds and the norm cap of Lemma 4.3 / 6.1 are taken there) and the best
+// coefficient with its λ and Source — the general bound (Cor. 4.4 / §6),
+// the separator bound (Thm. 5.1) at its maximizer λ*, or the diameter
+// coefficient, whichever is largest. Rounds is left zero.
+type coeffs struct {
+	root float64
+	best Bound
+}
+
+// coeffTableCap bounds the coefficient table. The paper's key space
+// (families × degrees × modes × periods) is a few hundred entries; keys
+// past the cap are computed on every call and not stored, so no request
+// stream can grow the table without limit.
+const coeffTableCap = 1024
+
+// coeffTable memoizes the closed-form part of Evaluate. Evaluate runs
+// concurrently (gossipd handlers, Sweep and scenario workers), so the map
+// is guarded by a read-write mutex.
+var coeffTable = struct {
+	mu sync.RWMutex
+	m  map[coeffKey]coeffs
+}{m: make(map[coeffKey]coeffs)}
+
+// lookupCoeffs is the table's hit path.
+//
+//gossip:hotpath
+func lookupCoeffs(k coeffKey) (coeffs, bool) {
+	coeffTable.mu.RLock()
+	c, ok := coeffTable.m[k]
+	coeffTable.mu.RUnlock()
+	return c, ok
+}
+
+// coefficientsFor returns the table entry for k, solving and storing it on
+// first use. Two callers missing the same key at once both solve it; the
+// solve is deterministic, so either result is the same entry.
+func coefficientsFor(k coeffKey) coeffs {
+	if c, ok := lookupCoeffs(k); ok {
+		return c
 	}
-	if req.Period == NonSystolic {
-		return bounds.SeparatorHalfDuplexInfinity(sep)
+	c := solveCoeffs(k)
+	coeffTable.mu.Lock()
+	if len(coeffTable.m) < coeffTableCap {
+		coeffTable.m[k] = c
 	}
-	return bounds.SeparatorHalfDuplex(sep, req.Period)
+	coeffTable.mu.Unlock()
+	return c
+}
+
+// solveCoeffs computes one entry from the norm bound w(λ) of the mode and
+// period: λ₀ is the unit root of w and e = 1/log₂(1/λ₀) (Cor. 4.4); a
+// family key adds the Theorem 5.1 optimization over w with the Lemma 3.1
+// separator and the family's diameter coefficient, on top of the general
+// entry for the same mode and period.
+//
+//gossip:allowpanic domain guard: the closed-form bounds exist for s ≥ 3 and s → ∞ only; Evaluate answers s = 2 before the table
+func solveCoeffs(k coeffKey) coeffs {
+	if k.period != NonSystolic && k.period < 3 {
+		panic(fmt.Sprintf("systolic: closed-form bounds need period ≥ 3 or NonSystolic, got %d", k.period))
+	}
+	w := normBound(k.full, k.period)
+	if !k.familyKnown {
+		root := bounds.SolveUnitRoot(w)
+		return coeffs{root: root, best: Bound{Coefficient: bounds.E(root), Lambda: root, Source: "general"}}
+	}
+	c := coefficientsFor(coeffKey{full: k.full, period: k.period})
+	spec, lamS := bounds.SeparatorBound(bounds.LemmaSeparator(k.family, k.degree), w)
+	if spec > c.best.Coefficient {
+		c.best = Bound{Coefficient: spec, Lambda: lamS, Source: "separator"}
+	}
+	if diam := bounds.DiameterCoefficient(k.family, k.degree); diam > c.best.Coefficient {
+		c.best = Bound{Coefficient: diam, Lambda: 0, Source: "diameter"}
+	}
+	return c
+}
+
+// normBound returns the paper's bound w(λ) on ‖M(λ)‖ for the mode and
+// period: Lemma 4.3 and its s→∞ limit for directed/half-duplex, Lemma 6.1
+// and its limit for full-duplex.
+func normBound(full bool, period int) func(float64) float64 {
+	switch {
+	case full && period == NonSystolic:
+		return bounds.WFullDuplexInfinity
+	case full:
+		return func(l float64) float64 { return bounds.WFullDuplex(period, l) }
+	case period == NonSystolic:
+		return bounds.WHalfDuplexInfinity
+	default:
+		return func(l float64) float64 { return bounds.WHalfDuplex(period, l) }
+	}
 }
 
 // String renders the bound for human consumption.

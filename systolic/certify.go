@@ -362,11 +362,7 @@ func (s *Session) certifyGossip(ctx context.Context, op string, detailIncomplete
 	if !complete && !detailIncomplete {
 		return cert, nil
 	}
-	reqPeriod := p.Period
-	if !p.Systolic() {
-		reqPeriod = NonSystolic
-	}
-	cert.LowerBound = Evaluate(net, Request{Mode: p.Mode, Period: reqPeriod})
+	cert.LowerBound = Evaluate(net, Request{Mode: p.Mode, Period: requestPeriod(p)})
 
 	dp := s.cfg.delayPlan
 	if dp == nil || !dp.matches(p) {

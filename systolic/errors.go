@@ -43,6 +43,10 @@ var (
 	// ErrMemoryBudget is returned when a scan's estimated working memory
 	// exceeds the WithMaxMemory cap on every available kernel.
 	ErrMemoryBudget = errors.New("systolic: scan exceeds the memory budget")
+	// ErrPanicked is the error of a sweep job whose network, protocol
+	// builder or analysis panicked: the sweep recovers the panic into that
+	// job's SweepResult.Err and runs the rest of the grid.
+	ErrPanicked = errors.New("systolic: job panicked")
 )
 
 // errImplicitOp wraps ErrImplicit with the failing operation and network.

@@ -863,6 +863,9 @@ func (s *Server) runSweep(ctx context.Context, key string, jobs []systolic.Sweep
 	s.metrics.simulations.Add(1)
 	ordered := make([]sweepLine, len(jobs))
 	for res := range systolic.SweepStream(ctx, jobs, systolic.WithRoundBudget(budget), s.roundsObserver()) {
+		if errors.Is(res.Err, systolic.ErrPanicked) {
+			s.metrics.panics.Add(1)
+		}
 		line := toSweepLine(res)
 		ordered[line.Index] = line
 		if emit != nil {

@@ -418,6 +418,33 @@ func TestSweepStreaming(t *testing.T) {
 	}
 }
 
+// TestSweepPanickingJobStreamsError: a sweep job whose protocol builder
+// panics streams an error line instead of killing the server, counts as a
+// panic, and the same server then answers a valid analyze.
+func TestSweepPanickingJobStreamsError(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	bad := SweepRequest{Jobs: []SweepJobRequest{
+		{Kind: "ccc", Params: map[string]int{"dimension": 3}, Protocol: "doubling"},
+	}}
+	resp := postJSON(t, ts.Client(), ts.URL+"/v1/sweep", bad)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	lines := readSweepLines(t, resp.Body)
+	resp.Body.Close()
+	if len(lines) != 1 || lines[0].Report != nil || !strings.Contains(lines[0].Error, systolic.ErrPanicked.Error()) {
+		t.Fatalf("want one error line naming the panic, got %+v", lines)
+	}
+	if got := s.Metrics().Snapshot().Panics; got != 1 {
+		t.Errorf("panics = %d, want 1", got)
+	}
+	resp = postJSON(t, ts.Client(), ts.URL+"/v1/analyze", analyzeDB25)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid analyze after the panicking sweep answered %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
 // TestSweepLabelsPartOfIdentity: labels are echoed on response lines, so a
 // relabeled grid must not share a cached replay with another client's.
 func TestSweepLabelsPartOfIdentity(t *testing.T) {

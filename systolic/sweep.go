@@ -2,6 +2,7 @@ package systolic
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -42,11 +43,12 @@ type SweepResult struct {
 // returned channel as jobs complete, closing it when the grid is done —
 // the feed for live dashboards and JSON-lines progress. Emission order is
 // completion order; every result carries its input Index, and each job's
-// content is identical to what a serial run would produce. Per-job failures
-// are recorded in SweepResult.Err and do not stop the sweep; cancelling the
-// context stops the grid mid-flight and emits unstarted jobs with the
-// context error. The channel is buffered to the grid size, so the stream
-// finishes (and its goroutines exit) even if the consumer walks away.
+// content is identical to what a serial run would produce. Per-job failures,
+// panics included (ErrPanicked), are recorded in SweepResult.Err and do not
+// stop the sweep; cancelling the context stops the grid mid-flight and
+// emits unstarted jobs with the context error. The channel is buffered to
+// the grid size, so the stream finishes (and its goroutines exit) even if
+// the consumer walks away.
 func SweepStream(ctx context.Context, jobs []SweepJob, opts ...Option) <-chan SweepResult {
 	cfg := newConfig(opts)
 	out := make(chan SweepResult, len(jobs))
@@ -101,7 +103,16 @@ func Sweep(ctx context.Context, jobs []SweepJob, opts ...Option) ([]SweepResult,
 	return results, ctx.Err()
 }
 
+// runSweepJob runs one job into res. It runs on a SweepStream worker, so it
+// recovers a panic anywhere in the job into res.Err (ErrPanicked) — one bad
+// cell must not take down the process running the sweep.
 func runSweepJob(ctx context.Context, job SweepJob, res *SweepResult, cfg config) {
+	defer func() {
+		if r := recover(); r != nil {
+			res.Report = nil
+			res.Err = fmt.Errorf("systolic: sweep job %d (%q): %w: %v", res.Index, job.Label, ErrPanicked, r)
+		}
+	}()
 	net, err := New(job.Kind, job.Params...)
 	if err != nil {
 		res.Err = err

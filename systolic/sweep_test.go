@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -194,6 +195,29 @@ func TestSweepPerJobErrorsDoNotAbort(t *testing.T) {
 	}
 	if results[3].Err != nil || results[3].Report == nil {
 		t.Errorf("good cell failed: %+v", results[3])
+	}
+}
+
+// TestSweepRecoversPanickingJob: a protocol builder that panics (the
+// doubling construction needs n a power of two; CCC(3) has 24 vertices)
+// fails its own job with ErrPanicked naming the job, and the rest of the
+// grid still runs.
+func TestSweepRecoversPanickingJob(t *testing.T) {
+	jobs := []SweepJob{
+		{Label: "ccc/doubling", Kind: "ccc", Params: []Param{Dimension(3)}, Protocol: UseProtocol("doubling", 0)},
+		{Label: "good", Kind: "cycle", Params: []Param{Nodes(8)}, Protocol: UseProtocol("periodic-half", 0)},
+	}
+	results, err := Sweep(context.Background(), jobs, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := results[0]; !errors.Is(bad.Err, ErrPanicked) || bad.Report != nil {
+		t.Errorf("panicking job: err = %v, report %v; want ErrPanicked and no report", bad.Err, bad.Report)
+	} else if !strings.Contains(bad.Err.Error(), `"ccc/doubling"`) {
+		t.Errorf("panic error %q does not name the job", bad.Err)
+	}
+	if good := results[1]; good.Err != nil || good.Report == nil {
+		t.Errorf("valid job after the panic: err = %v, report %v", good.Err, good.Report)
 	}
 }
 
