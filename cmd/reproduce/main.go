@@ -148,8 +148,7 @@ func sweep() {
 	rows := make([]certRow, len(jobs))
 	done := make(chan int, len(jobs))
 	// Bounded fan-out: at most GOMAXPROCS jobs certify at once, like the
-	// sweep engine's worker pool — growing the grid must not oversubscribe
-	// the host.
+	// sweep engine — growing the grid must not oversubscribe the host.
 	feed := make(chan int)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) {

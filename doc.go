@@ -5,8 +5,8 @@
 // The public API is the top-level systolic package (repro/systolic): a
 // self-registering topology catalog instantiated from named parameters, a
 // resumable zero-allocation simulation engine (NewEngine/Session with
-// Step/Run/Snapshot/Restore and JSON checkpoints, sharded across a worker
-// pool on large networks), option-based context-aware one-shot wrappers
+// Step/Run/Snapshot/Restore and JSON checkpoints, rounds sharded on one
+// process-wide worker runtime on large networks), option-based context-aware one-shot wrappers
 // (Analyze/Simulate/AnalyzeBroadcast) with JSON-serializable Report/Bound
 // results, and a parallel sweep engine (SweepStream streams results as jobs
 // finish; Sweep returns them in deterministic job order). On top of it sits

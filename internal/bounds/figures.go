@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // SInfinity is the sentinel period meaning "non-systolic" (s → ∞) in figure
@@ -57,33 +58,33 @@ type TopologyRow struct {
 // the given degrees and periods. Each cell is the best available bound:
 // max(Theorem 5.1, Corollary 4.4), as the paper's "entries with ∗" note
 // prescribes. Cells are independent optimizations, so they are computed in
-// parallel; the output ordering is deterministic (family, degree, period).
+// parallel on the worker runtime; the output ordering is deterministic
+// (family, degree, period).
 func Fig5(degrees, periods []int) []TopologyRow {
-	rows := make([]TopologyRow, len(Families)*len(degrees)*len(periods))
-	var wg sync.WaitGroup
-	idx := 0
+	rows := topologyCells(degrees, periods)
+	par.Do(len(rows), len(rows), func(i int) {
+		row := &rows[i]
+		gen, _ := GeneralHalfDuplex(row.S)
+		spec, _ := SeparatorHalfDuplex(LemmaSeparator(row.Family, row.D), row.S)
+		row.E, row.Source = gen, "general"
+		if spec > gen {
+			row.E, row.Source = spec, "separator"
+		}
+	})
+	return rows
+}
+
+// topologyCells lists the (family, degree, period) cells of a per-topology
+// table in output order, bounds not yet filled in.
+func topologyCells(degrees, periods []int) []TopologyRow {
+	rows := make([]TopologyRow, 0, len(Families)*len(degrees)*len(periods))
 	for _, f := range Families {
 		for _, d := range degrees {
-			sep := LemmaSeparator(f, d)
 			for _, s := range periods {
-				wg.Add(1)
-				go func(slot int, f Family, d, s int, sep Separator) {
-					defer wg.Done()
-					gen, _ := GeneralHalfDuplex(s)
-					spec, _ := SeparatorHalfDuplex(sep, s)
-					row := TopologyRow{Family: f, D: d, S: s}
-					if spec > gen {
-						row.E, row.Source = spec, "separator"
-					} else {
-						row.E, row.Source = gen, "general"
-					}
-					rows[slot] = row
-				}(idx, f, d, s, sep)
-				idx++
+				rows = append(rows, TopologyRow{Family: f, D: d, S: s})
 			}
 		}
 	}
-	wg.Wait()
 	return rows
 }
 
@@ -117,40 +118,26 @@ func Fig6(degrees []int) []TopologyRow {
 // full-duplex form, the general full-duplex bound (= broadcasting), and the
 // diameter. Like Fig5 the independent cells are computed in parallel.
 func Fig8(degrees, periods []int) []TopologyRow {
-	rows := make([]TopologyRow, len(Families)*len(degrees)*len(periods))
-	var wg sync.WaitGroup
-	idx := 0
-	for _, f := range Families {
-		for _, d := range degrees {
-			sep := LemmaSeparator(f, d)
-			diam := DiameterCoefficient(f, d)
-			for _, s := range periods {
-				wg.Add(1)
-				go func(slot int, f Family, d, s int, sep Separator, diam float64) {
-					defer wg.Done()
-					var gen, spec float64
-					if s == SInfinity {
-						gen, _ = GeneralFullDuplexInfinity()
-						spec, _ = SeparatorFullDuplexInfinity(sep)
-					} else {
-						gen, _ = GeneralFullDuplex(s)
-						spec, _ = SeparatorFullDuplex(sep, s)
-					}
-					row := TopologyRow{Family: f, D: d, S: s}
-					row.E, row.Source = spec, "separator"
-					if gen > row.E {
-						row.E, row.Source = gen, "general"
-					}
-					if diam > row.E {
-						row.E, row.Source = diam, "diameter"
-					}
-					rows[slot] = row
-				}(idx, f, d, s, sep, diam)
-				idx++
-			}
+	rows := topologyCells(degrees, periods)
+	par.Do(len(rows), len(rows), func(i int) {
+		row := &rows[i]
+		sep := LemmaSeparator(row.Family, row.D)
+		var gen, spec float64
+		if row.S == SInfinity {
+			gen, _ = GeneralFullDuplexInfinity()
+			spec, _ = SeparatorFullDuplexInfinity(sep)
+		} else {
+			gen, _ = GeneralFullDuplex(row.S)
+			spec, _ = SeparatorFullDuplex(sep, row.S)
 		}
-	}
-	wg.Wait()
+		row.E, row.Source = spec, "separator"
+		if gen > row.E {
+			row.E, row.Source = gen, "general"
+		}
+		if diam := DiameterCoefficient(row.Family, row.D); diam > row.E {
+			row.E, row.Source = diam, "diameter"
+		}
+	})
 	return rows
 }
 

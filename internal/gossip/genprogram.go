@@ -24,7 +24,6 @@ import (
 // the mutable per-worker scratch lives in GenRun.
 type GenProgram struct {
 	rs     graph.RoundSource
-	sc     graph.SenderChunker // non-nil when rs implements the chunk fast path
 	mode   Mode
 	n      int
 	period int
@@ -44,11 +43,7 @@ func CompileGen(rs graph.RoundSource, mode Mode) *GenProgram {
 	if rs.Rounds() < 1 {
 		panic(fmt.Sprintf("gossip: generator schedule has period %d, want >= 1", rs.Rounds()))
 	}
-	g := &GenProgram{rs: rs, mode: mode, n: rs.N(), period: rs.Rounds()}
-	if sc, ok := rs.(graph.SenderChunker); ok {
-		g.sc = sc
-	}
-	return g
+	return &GenProgram{rs: rs, mode: mode, n: rs.N(), period: rs.Rounds()}
 }
 
 // N returns the vertex count the program was compiled for.
@@ -70,14 +65,7 @@ func (g *GenProgram) RoundArcs(r int) int {
 	if r < 0 {
 		return 0
 	}
-	r %= g.period
-	arcs := 0
-	for v := 0; v < g.n; v++ {
-		if g.rs.Sender(r, v) >= 0 {
-			arcs++
-		}
-	}
-	return arcs
+	return NewGenRun(g).countRound(r % g.period)
 }
 
 // Fingerprint returns the schedule identity: the same FNV-1a hash
@@ -132,9 +120,11 @@ func (g *GenProgram) Materialize() *Protocol {
 	rounds := make([][]graph.Arc, g.period)
 	for r := range rounds {
 		round := make([]graph.Arc, 0, run.countRound(r))
-		for v := 0; v < g.n; v++ {
-			if s := g.rs.Sender(r, v); s >= 0 {
-				round = append(round, graph.Arc{From: s, To: v})
+		for lo := 0; lo < g.n; lo += graph.GenChunkVerts {
+			for i, s := range run.chunk(r, lo) {
+				if s >= 0 {
+					round = append(round, graph.Arc{From: int(s), To: lo + i})
+				}
 			}
 		}
 		rounds[r] = round
@@ -142,18 +132,20 @@ func (g *GenProgram) Materialize() *Protocol {
 	return &Protocol{Rounds: rounds, Period: g.period, Mode: g.mode}
 }
 
-// countRound returns the number of arcs in round r via the chunk fast path.
+// chunk returns the senders of round r's destinations from lo to the end
+// of lo's chunk, in the scratch buffer.
+func (gr *GenRun) chunk(r, lo int) []int32 {
+	hi := min(lo+graph.GenChunkVerts, gr.prog.n)
+	buf := gr.buf[:hi-lo]
+	gr.prog.rs.SenderChunk(r, lo, hi, buf)
+	return buf
+}
+
+// countRound returns the number of arcs in round r.
 func (gr *GenRun) countRound(r int) int {
-	g := gr.prog
-	if gr.buf == nil {
-		return g.RoundArcs(r)
-	}
 	arcs := 0
-	for lo := 0; lo < g.n; lo += graph.GenChunkVerts {
-		hi := min(lo+graph.GenChunkVerts, g.n)
-		buf := gr.buf[:hi-lo]
-		g.sc.SenderChunk(r, lo, hi, buf)
-		for _, s := range buf {
+	for lo := 0; lo < gr.prog.n; lo += graph.GenChunkVerts {
+		for _, s := range gr.chunk(r, lo) {
 			if s >= 0 {
 				arcs++
 			}
@@ -165,21 +157,8 @@ func (gr *GenRun) countRound(r int) int {
 // foldRound folds round r's arcs into the FNV state in destination-major
 // order, matching how Protocol.Fingerprint hashes the materialized round.
 func (gr *GenRun) foldRound(r int, h uint64) uint64 {
-	g := gr.prog
-	if gr.buf == nil {
-		for v := 0; v < g.n; v++ {
-			if s := g.rs.Sender(r, v); s >= 0 {
-				h = fnvWord(h, uint64(s))
-				h = fnvWord(h, uint64(v))
-			}
-		}
-		return h
-	}
-	for lo := 0; lo < g.n; lo += graph.GenChunkVerts {
-		hi := min(lo+graph.GenChunkVerts, g.n)
-		buf := gr.buf[:hi-lo]
-		g.sc.SenderChunk(r, lo, hi, buf)
-		for i, s := range buf {
+	for lo := 0; lo < gr.prog.n; lo += graph.GenChunkVerts {
+		for i, s := range gr.chunk(r, lo) {
 			if s >= 0 {
 				h = fnvWord(h, uint64(s))
 				h = fnvWord(h, uint64(lo+i))
@@ -190,21 +169,17 @@ func (gr *GenRun) foldRound(r int, h uint64) uint64 {
 }
 
 // GenRun is the per-worker execution scratch of a GenProgram: the chunk
-// buffer the sender fast path fills. One GenRun per worker; the GenProgram
-// itself is shared and immutable. Allocation happens here, once — the
-// subsequent stepping performs zero allocations.
+// buffer SenderChunk fills. One GenRun per worker; the GenProgram itself is
+// shared and immutable. Allocation happens here, once — the subsequent
+// stepping performs zero allocations.
 type GenRun struct {
 	prog *GenProgram
-	buf  []int32 // sender chunk scratch; nil without the fast path
+	buf  []int32 // sender chunk scratch
 }
 
 // NewGenRun returns worker-private scratch for g.
 func NewGenRun(g *GenProgram) *GenRun {
-	gr := &GenRun{prog: g}
-	if g.sc != nil {
-		gr.buf = make([]int32, graph.GenChunkVerts)
-	}
-	return gr
+	return &GenRun{prog: g, buf: make([]int32, graph.GenChunkVerts)}
 }
 
 // Program returns the compiled program the scratch belongs to.
@@ -229,26 +204,13 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 	}
 	r := i % g.period
 	gained := 0
-	if gr.buf != nil {
-		for lo := 0; lo < f.n; lo += graph.GenChunkVerts {
-			hi := min(lo+graph.GenChunkVerts, f.n)
-			buf := gr.buf[:hi-lo]
-			g.sc.SenderChunk(r, lo, hi, buf)
-			for j, s := range buf {
-				if s >= 0 && f.informed.has(int(s)) {
-					if v := lo + j; !f.informed.has(v) {
-						f.informed.set(v)
-						gained++
-					}
+	for lo := 0; lo < f.n; lo += graph.GenChunkVerts {
+		for j, s := range gr.chunk(r, lo) {
+			if s >= 0 && f.informed.has(int(s)) {
+				if v := lo + j; !f.informed.has(v) {
+					f.informed.set(v)
+					gained++
 				}
-			}
-		}
-	} else {
-		rs := g.rs
-		for v := 0; v < f.n; v++ {
-			if s := rs.Sender(r, v); s >= 0 && f.informed.has(s) && !f.informed.has(v) {
-				f.informed.set(v)
-				gained++
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -34,13 +35,51 @@ func genProgCases() []genProgCase {
 	return cases
 }
 
-// noChunk hides a RoundSource's chunk fast path, forcing the scalar Sender
-// walk — the fallback the chunked kernels are differential-pinned against.
-type noChunk struct{ rs graph.RoundSource }
+// scalarFingerprint is the reference for GenProgram.Fingerprint: the same
+// FNV-1a stream, walked one Sender call per destination instead of
+// through SenderChunk.
+func scalarFingerprint(g *GenProgram) string {
+	h := uint64(fnvOffset64)
+	h = fnvWord(h, uint64(g.mode))
+	h = fnvWord(h, uint64(g.period))
+	h = fnvWord(h, uint64(g.period)) // len(Rounds) of the materialized protocol
+	for r := 0; r < g.period; r++ {
+		h = fnvWord(h, uint64(scalarRoundArcs(g.rs, r)))
+		for v := 0; v < g.n; v++ {
+			if s := g.rs.Sender(r, v); s >= 0 {
+				h = fnvWord(h, uint64(s))
+				h = fnvWord(h, uint64(v))
+			}
+		}
+	}
+	return fmt.Sprintf("%016x", h)
+}
 
-func (n noChunk) N() int              { return n.rs.N() }
-func (n noChunk) Rounds() int         { return n.rs.Rounds() }
-func (n noChunk) Sender(r, v int) int { return n.rs.Sender(r, v) }
+// scalarRoundArcs counts round r's arcs one Sender call per destination.
+func scalarRoundArcs(rs graph.RoundSource, r int) int {
+	arcs := 0
+	for v := 0; v < rs.N(); v++ {
+		if rs.Sender(r, v) >= 0 {
+			arcs++
+		}
+	}
+	return arcs
+}
+
+// stepScalar is the reference for StepGenProgram: execution round i walked
+// one Sender call per destination.
+func stepScalar(f *FrontierState, rs graph.RoundSource, i int) int {
+	r := i % rs.Rounds()
+	gained := 0
+	for v := 0; v < f.n; v++ {
+		if s := rs.Sender(r, v); s >= 0 && f.informed.has(s) && !f.informed.has(v) {
+			f.informed.set(v)
+			gained++
+		}
+	}
+	f.know += gained
+	return gained
+}
 
 // TestGenProgramFingerprintMatchesMaterialized pins the streamed
 // fingerprint against Protocol.Fingerprint of the materialized rounds, and
@@ -57,10 +96,9 @@ func TestGenProgramFingerprintMatchesMaterialized(t *testing.T) {
 			if got, want := backed.Fingerprint(), p.Fingerprint(); got != want {
 				t.Fatalf("gen-backed protocol fingerprint %s, materialized %s", got, want)
 			}
-			// The scalar fallback must stream the identical byte sequence.
-			scalar := CompileGen(noChunk{tc.rs}, tc.mode)
-			if got, want := scalar.Fingerprint(), p.Fingerprint(); got != want {
-				t.Fatalf("scalar-path fingerprint %s, materialized %s", got, want)
+			// The scalar Sender walk must stream the identical byte sequence.
+			if got, want := scalarFingerprint(gen), p.Fingerprint(); got != want {
+				t.Fatalf("scalar fingerprint %s, materialized %s", got, want)
 			}
 		})
 	}
@@ -106,7 +144,7 @@ func baseName(name string) string {
 // TestStepGenProgramMatchesStepProgram is the execution differential: the
 // generator-compiled step must inform exactly the vertices the
 // CSR-compiled step of the materialized protocol informs, round for round,
-// from every source — on both the chunked and scalar sender paths.
+// from every source — and so must the scalar Sender walk.
 func TestStepGenProgramMatchesStepProgram(t *testing.T) {
 	for _, tc := range genProgCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,22 +154,22 @@ func TestStepGenProgramMatchesStepProgram(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			for _, g := range []*GenProgram{gen, CompileGen(noChunk{tc.rs}, tc.mode)} {
-				run := NewGenRun(g)
-				for src := 0; src < n; src++ {
-					fg := NewFrontierState(n, src)
-					fc := NewFrontierState(n, src)
-					for i := 0; i < 4*gen.Period()+4; i++ {
-						gg := fg.StepGenProgram(run, i)
-						gc := fc.StepProgram(pr, i)
-						if gg != gc {
-							t.Fatalf("source %d round %d: gen gained %d, csr %d", src, i, gg, gc)
-						}
-						for v := 0; v < n; v++ {
-							if fg.Informed(v) != fc.Informed(v) {
-								t.Fatalf("source %d round %d: informed(%d) gen %v csr %v",
-									src, i, v, fg.Informed(v), fc.Informed(v))
-							}
+			run := NewGenRun(gen)
+			for src := 0; src < n; src++ {
+				fg := NewFrontierState(n, src)
+				fc := NewFrontierState(n, src)
+				fs := NewFrontierState(n, src)
+				for i := 0; i < 4*gen.Period()+4; i++ {
+					gg := fg.StepGenProgram(run, i)
+					gc := fc.StepProgram(pr, i)
+					gs := stepScalar(fs, tc.rs, i)
+					if gg != gc || gs != gc {
+						t.Fatalf("source %d round %d: gen gained %d, scalar %d, csr %d", src, i, gg, gs, gc)
+					}
+					for v := 0; v < n; v++ {
+						if fg.Informed(v) != fc.Informed(v) || fs.Informed(v) != fc.Informed(v) {
+							t.Fatalf("source %d round %d: informed(%d) gen %v scalar %v csr %v",
+								src, i, v, fg.Informed(v), fs.Informed(v), fc.Informed(v))
 						}
 					}
 				}
@@ -166,6 +204,9 @@ func TestGenProgramRoundArcs(t *testing.T) {
 			for r := 0; r < gen.Period(); r++ {
 				if got, want := gen.RoundArcs(r), len(p.Rounds[r]); got != want {
 					t.Fatalf("round %d: RoundArcs %d, materialized %d", r, got, want)
+				}
+				if got, want := gen.RoundArcs(r), scalarRoundArcs(tc.rs, r); got != want {
+					t.Fatalf("round %d: RoundArcs %d, scalar count %d", r, got, want)
 				}
 			}
 			if gen.RoundArcs(-1) != 0 {

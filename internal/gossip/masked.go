@@ -22,8 +22,8 @@ type ArcFilter func(from, to int32) bool
 // two ops of a compiled round share a vertex, so a dropped arc cannot
 // change what another arc reads.
 //
-// Masked stepping is the serial merge loop with the filter (any attached
-// pool is bypassed): the scenario engine parallelizes across Monte-Carlo
+// Masked stepping is the serial merge loop with the filter (SetShards is
+// ignored): the scenario engine parallelizes across Monte-Carlo
 // trials, not within one faulty round, and a fixed serial order is what
 // makes the filter's PRNG stream reproducible. Steady-state masked steps
 // perform zero allocations.

@@ -25,7 +25,7 @@ var oracleShadow struct {
 // Step applies one communication round: for each active arc (x, y), y learns
 // everything x knew at the beginning of the round. All transfers in a round
 // are simultaneous, for any arc set: every sender's words are snapshotted
-// before any merge. It always runs serially, whatever pool is attached.
+// before any merge. It always runs serially, whatever SetShards says.
 func (s *State) Step(round []graph.Arc) {
 	oracleShadow.Lock()
 	defer oracleShadow.Unlock()

@@ -23,7 +23,7 @@ import (
 // endpoint of at most one arc, or of exactly one opposite pair. So no two
 // ops of a compiled round share a vertex, every op may read live state,
 // and any contiguous cut of a round's op lists is conflict-free — the
-// serial, pooled and fault-masked steps all run one merge loop over such
+// serial, sharded and fault-masked steps all run one merge loop over such
 // cuts (State.merge).
 //
 // A Program is immutable after Compile, so one compiled program may back
@@ -186,7 +186,8 @@ func (pr *Program) roundIndex(i int) int {
 
 // StepProgram applies execution round i of a compiled program: fused
 // exchanges, then the remaining arcs, each merging its sender's words into
-// its receiver. With a pool attached the round is cut across the workers.
+// its receiver. With SetShards the round is cut into shares run on the
+// worker runtime.
 // The result is byte-identical to interpreting the arcs of p.Round(i), and
 // the steady state performs zero allocations. Out-of-schedule rounds
 // (finite protocol past its end) are no-ops, like an empty round.
@@ -198,8 +199,9 @@ func (s *State) StepProgram(pr *Program, i int) {
 	if r < 0 {
 		return
 	}
-	if s.pool != nil {
-		s.pool.stepProgram(s, pr, r)
+	if s.shards > 1 {
+		s.stepPr, s.stepR = pr, r
+		s.fan.Run((*shardStep)(s), s.shards, s.shards)
 		return
 	}
 	gained, newlyFull := s.merge(pr, r, 0, 1, nil)

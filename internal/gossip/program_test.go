@@ -1,6 +1,6 @@
 // Differential coverage for the schedule compiler: executing a compiled
 // Program must be byte-identical to interpreting the protocol's arc slices,
-// round by round, on every backend (serial state, sharded pool, packed
+// round by round, on every backend (serial state, sharded state, packed
 // frontier, completion certificate), and the compiled hot path must not
 // allocate. The tests live in the external package so they can drive the
 // core through real protocol constructions.
@@ -90,8 +90,7 @@ func TestCompiledStepMatchesInterpreted(t *testing.T) {
 		interp := gossip.NewState(n)
 		compiled := gossip.NewState(n)
 		sharded := gossip.NewState(n)
-		pool := gossip.NewPool(1 + rng.Intn(4))
-		sharded.UsePool(pool)
+		sharded.SetShards(1 + rng.Intn(4))
 
 		bprog, err := gossip.Compile(p, n, 1)
 		if err != nil {
@@ -129,7 +128,6 @@ func TestCompiledStepMatchesInterpreted(t *testing.T) {
 				t.Fatalf("trial %d round %d: frontier sets diverged", trial, r)
 			}
 		}
-		pool.Close()
 	}
 }
 
@@ -187,7 +185,7 @@ func randomRound(rng *rand.Rand, n int) []graph.Arc {
 // TestCompiledArbitraryArcSets is the accept/reject property of the
 // compiler: on random arc sets, Compile succeeds iff every round passes
 // admissibleRound, and a rejection names the first inadmissible round.
-// Accepted programs, serial and pooled, must match the arc-slice oracle
+// Accepted programs, serial and sharded, must match the arc-slice oracle
 // byte for byte. Both sides of the property must be exercised.
 func TestCompiledArbitraryArcSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
@@ -227,8 +225,7 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 		interp := gossip.NewState(n)
 		compiled := gossip.NewState(n)
 		sharded := gossip.NewState(n)
-		pool := gossip.NewPool(1 + rng.Intn(4))
-		sharded.UsePool(pool)
+		sharded.SetShards(1 + rng.Intn(4))
 		for r := 0; r < 3*(len(rs)+1); r++ {
 			interp.Step(p.Round(r))
 			compiled.StepProgram(prog, r)
@@ -245,7 +242,6 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 				t.Fatalf("trial %d round %d: knowledge counters diverged", trial, r)
 			}
 		}
-		pool.Close()
 	}
 	if accepted < 50 || rejected < 50 {
 		t.Fatalf("property exercised %d accepted and %d rejected protocols, want ≥ 50 of each", accepted, rejected)
@@ -254,7 +250,7 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 
 // TestCompiledMatchesOnRealTopologies pins the differential on the paper's
 // constructions across all three communication modes, sweeping worker
-// counts through the pooled cuts.
+// counts through the sharded cuts.
 func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -292,11 +288,7 @@ func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 			}
 			for workers := 0; workers <= 5; workers++ {
 				st := gossip.NewState(n)
-				var pool *gossip.Pool
-				if workers > 0 {
-					pool = gossip.NewPool(workers)
-					st.UsePool(pool)
-				}
+				st.SetShards(workers)
 				for r := range dumps {
 					st.StepProgram(prog, r)
 					if !bytes.Equal(st.Export(), dumps[r]) {
@@ -305,9 +297,6 @@ func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 				}
 				if !st.GossipComplete() {
 					t.Fatalf("workers=%d: compiled run did not complete", workers)
-				}
-				if pool != nil {
-					pool.Close()
 				}
 			}
 		})
@@ -380,9 +369,7 @@ func TestCompiledStepZeroAlloc(t *testing.T) {
 	}
 
 	sharded := gossip.NewState(n)
-	pool := gossip.NewPool(4)
-	defer pool.Close()
-	sharded.UsePool(pool)
+	sharded.SetShards(4)
 	r = 0
 	if got := testing.AllocsPerRun(50, func() {
 		sharded.StepProgram(prog, r)

@@ -9,7 +9,7 @@
 // offsets and fused full-duplex exchanges. Compile admits only the rounds
 // Validate does — every vertex an endpoint of at most one arc, or of
 // exactly one opposite pair — so no two ops of a round share a vertex and
-// every op merges live state in place. State.StepProgram (serial, pooled
+// every op merges live state in place. State.StepProgram (serial, sharded
 // or fault-masked, all one merge loop), FrontierState.StepProgram and
 // Program.CompletionCertificate execute the same IR, byte-identically to
 // interpreting the raw arc slices (the arc-slice interpreters live in the

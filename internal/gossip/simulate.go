@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // ErrIncomplete is returned when a simulation hits its round budget before
@@ -34,7 +36,13 @@ type State struct {
 	know   int64   // sum of counts
 	full   int64   // vertices with counts == items
 
-	pool *Pool // optional sharded stepping; nil means serial
+	// Sharded stepping (SetShards): StepProgram cuts each compiled round
+	// into shards contiguous shares run on the worker runtime. The fan-out
+	// and the round it steps live here so a round allocates nothing.
+	shards int
+	fan    par.Group
+	stepPr *Program
+	stepR  int
 }
 
 func newState(n, items int) *State {
@@ -76,9 +84,30 @@ func NewBroadcastState(n, source int) *State {
 	return s
 }
 
-// UsePool shards subsequent StepProgram rounds across the pool's workers;
-// passing nil reverts to serial stepping. Results are identical either way.
-func (s *State) UsePool(p *Pool) { s.pool = p }
+// SetShards cuts every subsequent StepProgram round into shards contiguous
+// shares — the w-th cut of its fused ops and of its arcs — and runs them on
+// the worker runtime (repro/internal/par), at most shards at a time. No two
+// ops of a compiled round share a vertex, so every state word and counts
+// entry has a single writer and the result is byte-identical to a serial
+// step; shards ≤ 1 steps serially.
+func (s *State) SetShards(shards int) { s.shards = shards }
+
+// Shards returns the number of shares each round is cut into (1 when
+// stepping serially).
+func (s *State) Shards() int { return max(s.shards, 1) }
+
+// shardStep is a State as the tasks of its sharded round: task w merges
+// share w of the round StepProgram is fanning out.
+type shardStep State
+
+func (ss *shardStep) Task(w int) {
+	s := (*State)(ss)
+	gained, newlyFull := s.merge(s.stepPr, s.stepR, w, s.shards, nil)
+	if gained != 0 {
+		atomic.AddInt64(&s.know, gained)
+		atomic.AddInt64(&s.full, newlyFull)
+	}
+}
 
 // Reset returns a gossip state (one built by NewState) to its initial
 // "every processor knows exactly its own item" configuration without

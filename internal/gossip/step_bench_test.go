@@ -68,8 +68,9 @@ func BenchmarkUncompiledStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledStepSharded is BenchmarkCompiledStep with the worker
-// pool attached: each worker merges one contiguous cut of the round's ops
+// BenchmarkCompiledStepSharded is BenchmarkCompiledStep with each round cut
+// into GOMAXPROCS shares: the caller and the worker runtime's free helpers
+// claim the shares, each merging one contiguous cut of the round's ops,
 // behind a single barrier.
 func BenchmarkCompiledStepSharded(b *testing.B) {
 	hc := topology.Hypercube(12)
@@ -80,9 +81,7 @@ func BenchmarkCompiledStepSharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := gossip.NewState(n)
-	pool := gossip.NewPool(runtime.GOMAXPROCS(0))
-	defer pool.Close()
-	st.UsePool(pool)
+	st.SetShards(runtime.GOMAXPROCS(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

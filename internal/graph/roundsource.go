@@ -14,10 +14,14 @@ package graph
 // paper's rounds are matchings (each processor talks to at most one
 // neighbor per round), a single sender per destination is fully general;
 // full-duplex exchanges appear as mutual sender pairs (Sender(r, u) == v
-// and Sender(r, v) == u). Results must be deterministic and
-// implementations safe for concurrent use (one RoundSource is shared by
-// every worker of a sharded step) and allocation-free (the schedule steps
-// are //gossip:hotpath).
+// and Sender(r, v) == u). SenderChunk is the same map a chunk of
+// destinations at a time — the form the schedule steps execute, with a
+// topology-specialized inner loop (a hypercube chunk is one xor per
+// vertex, so the interface dispatch amortizes to nothing over
+// GenChunkVerts destinations); Sender is the scalar reference the tests
+// hold it to. Results must be deterministic and implementations safe for
+// concurrent use (one RoundSource is shared by every worker of a sharded
+// step) and allocation-free (the schedule steps are //gossip:hotpath).
 type RoundSource interface {
 	// N returns the number of vertices.
 	N() int
@@ -27,17 +31,7 @@ type RoundSource interface {
 	// r must lie in [0, Rounds()); callers reduce absolute round numbers
 	// modulo the period first.
 	Sender(r, v int) int
-}
-
-// SenderChunker is the optional fast path of the generator schedule step: a
-// RoundSource that implements it fills a whole chunk of destinations per
-// call, replacing the per-vertex Sender round trip with a
-// topology-specialized inner loop (a hypercube chunk is one xor per
-// vertex — the interface dispatch amortizes to nothing over
-// GenChunkVerts destinations).
-type SenderChunker interface {
 	// SenderChunk writes Sender(r, v) into out[v-lo] for each v in
-	// [lo, hi). It must not allocate and must be safe for concurrent use
-	// on disjoint chunks. len(out) >= hi-lo.
+	// [lo, hi). len(out) >= hi-lo.
 	SenderChunk(r, lo, hi int, out []int32)
 }

@@ -566,12 +566,8 @@ var (
 	_ ExchangeClasses = (*CCCClasses)(nil)
 	_ ExchangeClasses = (*ButterflyClasses)(nil)
 
-	_ graph.RoundSource   = fullDuplexSched{}
-	_ graph.SenderChunker = fullDuplexSched{}
-	_ graph.RoundSource   = halfDuplexSched{}
-	_ graph.SenderChunker = halfDuplexSched{}
-	_ graph.RoundSource   = interleavedSched{}
-	_ graph.SenderChunker = interleavedSched{}
-	_ graph.RoundSource   = (*CycleTwoPhase)(nil)
-	_ graph.SenderChunker = (*CycleTwoPhase)(nil)
+	_ graph.RoundSource = fullDuplexSched{}
+	_ graph.RoundSource = halfDuplexSched{}
+	_ graph.RoundSource = interleavedSched{}
+	_ graph.RoundSource = (*CycleTwoPhase)(nil)
 )

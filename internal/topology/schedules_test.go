@@ -106,8 +106,8 @@ func TestPartnerChunkMatchesPartner(t *testing.T) {
 
 // TestScheduleAdapters pins the three periodic round sources derived from
 // one coloring: periods, sender structure (full-duplex senders are mutual;
-// half-duplex rounds orient each class both ways exactly once) and the
-// SenderChunk fast path.
+// half-duplex rounds orient each class both ways exactly once) and
+// SenderChunk against Sender.
 func TestScheduleAdapters(t *testing.T) {
 	for _, tc := range schedCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,16 +157,12 @@ func TestScheduleAdapters(t *testing.T) {
 
 func checkSenderChunk(t *testing.T, rs graph.RoundSource) {
 	t.Helper()
-	sc, ok := rs.(graph.SenderChunker)
-	if !ok {
-		t.Fatalf("%T: no SenderChunk fast path", rs)
-	}
 	n := rs.N()
 	out := make([]int32, n)
 	for r := 0; r < rs.Rounds(); r++ {
 		for lo := 0; lo < n; lo += 5 {
 			hi := min(lo+5, n)
-			sc.SenderChunk(r, lo, hi, out[:hi-lo])
+			rs.SenderChunk(r, lo, hi, out[:hi-lo])
 			for v := lo; v < hi; v++ {
 				if want := rs.Sender(r, v); int(out[v-lo]) != want {
 					t.Fatalf("round %d: SenderChunk[%d] = %d, Sender = %d", r, v, out[v-lo], want)

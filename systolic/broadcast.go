@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // BroadcastReport compares a measured broadcast time against the
@@ -366,11 +366,11 @@ func (sc *floodScan) errUnreachable(source, rounds int) error {
 }
 
 // run floods the sources in ⌈sources/64⌉ batches. Batches are independent
-// and claimed in scan order by up to WithWorkers workers, each with its
-// own frontier, so reports are byte-identical for every worker count. A
-// single batch on a network past the shard threshold — the shape of huge
-// implicit scans and of single-source certification — instead splits
-// every round into vertex ranges across the workers.
+// and claimed in scan order by up to WithWorkers workers on the worker
+// runtime, each with its own frontier, so reports are byte-identical for
+// every worker count. A single batch on a network past the shard threshold
+// — the shape of huge implicit scans and of single-source certification —
+// instead splits every round into vertex ranges across the workers.
 func (sc *floodScan) run(ctx context.Context) error {
 	n := sc.net.N()
 	batches := (len(sc.sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
@@ -378,41 +378,28 @@ func (sc *floodScan) run(ctx context.Context) error {
 		return sc.batch(ctx, newFloodStepper(sc.src, n, sc.cfg.workers), 0)
 	}
 	workers := min(sc.cfg.workers, batches)
-	if workers <= 1 {
-		st := newFloodStepper(sc.src, n, 1)
-		for b := range batches {
-			if err := sc.batch(ctx, st, b); err != nil {
-				return err
+	errs := make([]error, batches)
+	steppers := make([]*floodStepper, workers)
+	var next atomic.Int64
+	var failed atomic.Bool
+	par.Do(workers, workers, func(w int) {
+		// Every claimed batch runs, and batches are claimed in scan order,
+		// so when claiming stops after a failure every batch before the
+		// failing one has run: the error that surfaces is the scan-order
+		// first.
+		for !failed.Load() {
+			b := int(next.Add(1)) - 1
+			if b >= batches {
+				return
+			}
+			if steppers[w] == nil {
+				steppers[w] = newFloodStepper(sc.src, n, 1)
+			}
+			if errs[b] = sc.batch(ctx, steppers[w], b); errs[b] != nil {
+				failed.Store(true)
 			}
 		}
-		return nil
-	}
-	errs := make([]error, batches)
-	var next, failed atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := newFloodStepper(sc.src, n, 1)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= batches {
-					return
-				}
-				// Batches are claimed in order, so skipping the tail after
-				// a failure can never skip a batch before the failing one:
-				// the error that surfaces is still the scan-order first.
-				if failed.Load() != 0 {
-					return
-				}
-				if errs[b] = sc.batch(ctx, st, b); errs[b] != nil {
-					failed.Store(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -484,17 +471,17 @@ func (sc *floodScan) batch(ctx context.Context, st *floodStepper, b int) error {
 
 // floodStepper steps one packed frontier over an arc source, choosing a
 // direction each round. A pull round gathers into every vertex, split
-// into chunk-aligned vertex ranges, one per shard: shard 0 runs on the
-// calling goroutine and the others on the flood workers, so a round costs
-// one channel handoff per extra shard and allocates nothing. A push round
-// scatters from the vertices the last round changed, on the calling
-// goroutine (gossip.PushDivisor states the rule).
+// into chunk-aligned vertex ranges, one per shard, run on the calling
+// goroutine and the worker runtime's free helpers; the fan-out is bound
+// once, so a round allocates nothing. A push round scatters from the
+// vertices the last round changed, on the calling goroutine
+// (gossip.PushDivisor states the rule).
 type floodStepper struct {
 	pf       gossip.PackedFrontier
 	shards   []floodShard
-	round    sync.WaitGroup // the current round's shards past 0
-	done     uint64         // lanes complete after the last round
-	informed int            // informed pairs after the last round
+	fan      par.Group // runs the shards of a pull round
+	done     uint64    // lanes complete after the last round
+	informed int       // informed pairs after the last round
 }
 
 // floodShard is one vertex range of a pull round and its raw round
@@ -522,12 +509,13 @@ func newFloodStepper(src ArcSource, n, shards int) *floodStepper {
 		sh.lo = chunks * i / k * graph.GenChunkVerts
 		sh.hi = min(chunks*(i+1)/k*graph.GenChunkVerts, n)
 	}
-	startFloodWorkers(k - 1)
 	return st
 }
 
-func (sh *floodShard) run(pf *gossip.PackedFrontier) {
-	sh.and, sh.changed, sh.informed = pf.StepFloodGenRange(&sh.fg, sh.lo, sh.hi)
+// Task runs shard i of the current pull round.
+func (st *floodStepper) Task(i int) {
+	sh := &st.shards[i]
+	sh.and, sh.changed, sh.informed = st.pf.StepFloodGenRange(&sh.fg, sh.lo, sh.hi)
 }
 
 // reset loads a batch; its first round pushes from the sources when they
@@ -565,12 +553,7 @@ func (st *floodStepper) step() (complete, changed uint64, informed int) {
 //
 //gossip:hotpath
 func (st *floodStepper) pull() (complete, changed uint64, informed int) {
-	st.round.Add(len(st.shards) - 1)
-	for i := 1; i < len(st.shards); i++ {
-		floodJobs <- floodJob{st, i}
-	}
-	st.shards[0].run(&st.pf)
-	st.round.Wait()
+	st.fan.Run(st, len(st.shards), len(st.shards))
 	and := ^uint64(0)
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -581,39 +564,6 @@ func (st *floodStepper) pull() (complete, changed uint64, informed int) {
 	st.pf.CommitStep()
 	full := st.pf.Full()
 	return and & full, changed & full, informed
-}
-
-// floodJob is one shard of one stepper's current round.
-type floodJob struct {
-	st *floodStepper
-	i  int
-}
-
-// The flood workers run the shards past 0 of every sharded round in the
-// process: a fixed set of goroutines, grown on demand to the widest
-// stepper so far and then parked on floodJobs for the life of the process.
-// Starting goroutines per scan instead would make a scan's allocation
-// count depend on the scheduler (the runtime reuses an exited goroutine's
-// descriptor only from the free list of the processor it exited on). A
-// job never blocks, so steppers sharing the workers always make progress.
-var (
-	floodJobs        = make(chan floodJob)
-	floodWorkersMu   sync.Mutex
-	floodWorkerCount int
-)
-
-// startFloodWorkers makes sure at least n flood workers are running.
-func startFloodWorkers(n int) {
-	floodWorkersMu.Lock()
-	defer floodWorkersMu.Unlock()
-	for ; floodWorkerCount < n; floodWorkerCount++ {
-		go func() {
-			for job := range floodJobs {
-				job.st.shards[job.i].run(&job.st.pf)
-				job.st.round.Done()
-			}
-		}()
-	}
 }
 
 // String renders the report.

@@ -24,7 +24,7 @@ import (
 // scanBoth runs the scalar oracle and AnalyzeBroadcastAll with opts over
 // both arc sources — the digraph's CSR and, when the network carries one,
 // its generator (through an implicit view of the network) — serially and
-// on the batch pool, and demands every report deep-equal the oracle's (or
+// with batches in parallel, and demands every report deep-equal the oracle's (or
 // every failure carry its exact error text). It returns the oracle's
 // report, nil on failure. TestBroadcastScanShardedRounds covers the
 // single-batch vertex-sharded path, which needs larger networks.
@@ -421,7 +421,7 @@ func TestBroadcastScanTraceSeam(t *testing.T) {
 // now evaluates in its summary pass: the c(d)·log₂n floor (its certified
 // finite-n part) is computed once, every source's measured rounds are
 // compared against it, and the report surfaces the extremes plus the first
-// violating source. The serial and pooled scans and the oracle must agree.
+// violating source. The serial and parallel scans and the oracle must agree.
 func TestBroadcastAllBound(t *testing.T) {
 	ctx := context.Background()
 	// Hypercube d=5: every eccentricity is 5 = ⌈log₂ 32⌉, so the floor is

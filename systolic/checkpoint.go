@@ -176,7 +176,7 @@ func (s *Session) Restore(c *Checkpoint) error {
 	if s.broadcast {
 		s.fr = fr
 	} else {
-		st.UsePool(s.pool)
+		st.SetShards(s.st.Shards())
 		s.st = st
 	}
 	s.round = c.Round

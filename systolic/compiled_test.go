@@ -248,7 +248,7 @@ func TestCompiledCheckpointDifferential(t *testing.T) {
 // concurrent sessions (the serving layer's pattern) must give every
 // session the same answer as a private compile, including under sharding:
 // the network (hypercube d=11) reaches DefaultShardThreshold, so sessions
-// with more than one worker step on their pools.
+// with more than one worker shard their rounds.
 func TestSharedProgramConcurrentSessions(t *testing.T) {
 	net, err := New("hypercube", Dimension(11))
 	if err != nil {
@@ -280,8 +280,8 @@ func TestSharedProgramConcurrentSessions(t *testing.T) {
 				return
 			}
 			defer sess.Close()
-			if (sess.pool != nil) != (i%4 > 0) {
-				errs[i] = fmt.Errorf("%d workers, pool attached = %v", 1+i%4, sess.pool != nil)
+			if got := sess.st.Shards(); got != 1+i%4 {
+				errs[i] = fmt.Errorf("%d workers, %d shards", 1+i%4, got)
 				return
 			}
 			reps[i], errs[i] = sess.Analyze(context.Background())

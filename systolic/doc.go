@@ -33,8 +33,12 @@
 //     sessions with NewEngineFromProgram and skip validate+compile
 //     entirely. Knowledge lives in one flat word array — a steady-state
 //     Step allocates nothing — and sessions on networks with at least
-//     DefaultShardThreshold vertices shard each round across a worker pool
-//     (WithWorkers), byte-identical to serial. Session.Frontier reports the
+//     DefaultShardThreshold vertices cut each round into WithWorkers
+//     shares, byte-identical to serial. Every fan-out in the library runs
+//     on one worker runtime: the caller plus the free ones of GOMAXPROCS
+//     helper goroutines parked for the life of the process, so however
+//     many callers fan out, the library adds at most GOMAXPROCS goroutines
+//     of computation; WithWorkers only caps a fan-out's width. Session.Frontier reports the
 //     per-round newly-informed counts; NewBroadcastEngine runs broadcasts
 //     on a packed one-bit-per-vertex frontier backend.
 //
@@ -67,8 +71,8 @@
 //     golden tests.
 //
 //   - A parallel sweep engine. SweepStream fans a grid of (topology ×
-//     protocol) evaluations across a worker pool (GOMAXPROCS workers by
-//     default) and streams results as jobs complete; Sweep is its barrier
+//     protocol) evaluations across up to WithWorkers workers (GOMAXPROCS
+//     by default) and streams results as jobs complete; Sweep is its barrier
 //     counterpart, returning results in deterministic job order so parallel
 //     runs are byte-identical to serial ones.
 //

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultShardThreshold is the vertex count at which a session with more
-// than one worker shards Step across its pool, and a single-batch
+// than one worker shards Step on the worker runtime, and a single-batch
 // broadcast scan splits its rounds into vertex ranges. Below it the
 // per-round work is too small to pay for the barrier.
 const DefaultShardThreshold = 2048
@@ -21,8 +21,6 @@ const DefaultShardThreshold = 2048
 // drives at production scale.
 //
 // A session is not safe for concurrent use; run one goroutine per session.
-// Close releases the session's worker pool (if sharding is active); a
-// closed session keeps working serially.
 type Session struct {
 	net   *Network
 	proto *Protocol
@@ -34,7 +32,6 @@ type Session struct {
 	grun      *gossip.GenRun        // generator-program scratch; non-nil streams rounds
 	st        *gossip.State         // gossip backend
 	fr        *gossip.FrontierState // broadcast backend (one bit per vertex)
-	pool      *gossip.Pool
 
 	budget   int
 	target   int
@@ -47,8 +44,9 @@ type Session struct {
 // schedule IR (see Program), and returns a session positioned at round
 // zero, ready to Step or Run. The round budget, trace observer and worker
 // count come from the options; with more than one worker and at least
-// DefaultShardThreshold vertices the session shards every Step across a
-// persistent pool (results are byte-identical to serial).
+// DefaultShardThreshold vertices the session cuts every Step into
+// WithWorkers shares run on the process's worker runtime (results are
+// byte-identical to serial).
 // Callers that already hold a compiled Program use NewEngineFromProgram
 // and skip the validate+compile work entirely.
 func NewEngine(net *Network, p *Protocol, opts ...Option) (*Session, error) {
@@ -197,12 +195,7 @@ func (s *Session) Run(ctx context.Context) (Result, error) {
 	return Result{Rounds: s.round, N: n}, nil
 }
 
-// Close releases the session's sharding pool, if any. The session remains
-// usable afterwards, stepping serially. Close is idempotent.
-func (s *Session) Close() {
-	if s.pool != nil {
-		s.st.UsePool(nil)
-		s.pool.Close()
-		s.pool = nil
-	}
-}
+// Close is a no-op kept for callers that scope a session with defer: a
+// sharded session borrows the process's worker runtime round by round and
+// holds nothing between rounds. The session stays usable.
+func (s *Session) Close() {}

@@ -29,7 +29,7 @@ func ExampleAnalyze() {
 	// measured 5, certified bound 5, theorem respected: true
 }
 
-// Fan a parameter grid across a worker pool; results come back in job
+// Fan a parameter grid across parallel workers; results come back in job
 // order, so output is deterministic.
 func ExampleSweep() {
 	jobs := []systolic.SweepJob{

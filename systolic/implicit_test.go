@@ -55,7 +55,7 @@ func genEligibleNets(t *testing.T) []*Network {
 }
 
 // TestGeneratorKernelsMatchCSR is the scan differential: on every
-// generator-eligible kind, full scans over the generator — serial, pooled
+// generator-eligible kind, full scans over the generator — serial, parallel
 // and the scalar oracle — produce reports deep-equal to the serial scan
 // over the digraph's CSR. (These networks are one chunk wide; the
 // vertex-sharded path is TestBroadcastScanShardedRounds.)

@@ -79,11 +79,14 @@ func WithRoundBudget(n int) Option { return func(c *config) { c.budget = n } }
 // round — the hook behind dissemination curves and progress displays.
 func WithTrace(o Observer) Option { return func(c *config) { c.observer = o } }
 
-// WithWorkers overrides the worker-pool size (default GOMAXPROCS): the
-// number of concurrent jobs in Sweep/SweepStream, and the number of
-// stepping goroutines a session or single-batch scan shards across once the
-// network reaches DefaultShardThreshold vertices. WithWorkers(1) forces
-// serial execution everywhere.
+// WithWorkers caps the width of a call's fan-outs (default GOMAXPROCS): the
+// number of Sweep/SweepStream jobs, scan batches or scenario trials in
+// flight at once, and the number of shares a session or single-batch scan
+// cuts each round into once the network reaches DefaultShardThreshold
+// vertices. It sizes no pool: every fan-out runs on the calling goroutine
+// plus whichever of the process's GOMAXPROCS parked helpers are free, and
+// runs inline when none is. Results are byte-identical for every value;
+// WithWorkers(1) forces serial execution everywhere.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithSource selects the broadcast source vertex (default 0) of a session

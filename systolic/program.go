@@ -9,7 +9,7 @@ import (
 
 // Program is a protocol compiled onto a concrete network: the validated
 // schedule lowered once into the flat IR every execution layer shares
-// (serial state, sharded pool, certificates — see repro/internal/gossip).
+// (serial state, sharded state, certificates — see repro/internal/gossip).
 // Compilation subsumes validation, so a session built from a Program skips
 // both; serving layers cache Programs across requests (keyed by
 // RequestKey-style identities) to make a result-cache miss skip the whole
@@ -155,9 +155,8 @@ func NewEngineFromProgram(pr *Program, opts ...Option) (*Session, error) {
 	}
 	s.st = gossip.NewState(n)
 	s.target = n * n
-	if cfg.workers > 1 && n >= DefaultShardThreshold {
-		s.pool = gossip.NewPool(cfg.workers)
-		s.st.UsePool(s.pool)
+	if n >= DefaultShardThreshold {
+		s.st.SetShards(cfg.workers)
 	}
 	s.done = s.complete()
 	return s, nil

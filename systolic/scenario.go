@@ -8,10 +8,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/scenario"
 )
 
@@ -193,7 +193,7 @@ const MaxScenarioTrials = 65536
 
 // CertifyScenario validates and compiles p on the network, then runs a
 // Monte-Carlo scenario certification: trials independent faulty
-// executions of the compiled schedule, fanned across the worker pool,
+// executions of the compiled schedule, fanned across the worker runtime,
 // aggregated into a StatisticalCertificate against the deterministic
 // lower bound. Callers that already hold a compiled Program use
 // CertifyScenarioProgram.
@@ -260,36 +260,27 @@ func CertifyScenarioProgram(ctx context.Context, pr *Program, sc *Scenario, tria
 		truncated bool
 	}
 	outcomes := make([]outcome, trials)
-	workers := cfg.workers
-	if workers > trials {
-		workers = trials
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			st := gossip.NewState(n)
-			tr := comp.Trial(w)
-			for i := w; i < trials; i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				tr.Reset(i)
-				if i != w {
-					st.Reset()
-				}
-				done := st.GossipComplete() // n ≤ 1 completes in 0 rounds
-				r := 0
-				for ; r < budget && !done; r++ {
-					tr.Step(st, pr.prog, r)
-					done = st.GossipComplete()
-				}
-				outcomes[i] = outcome{rounds: r, truncated: !done}
+	workers := min(cfg.workers, trials)
+	par.Do(workers, workers, func(w int) {
+		st := gossip.NewState(n)
+		tr := comp.Trial(w)
+		for i := w; i < trials; i += workers {
+			if ctx.Err() != nil {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			tr.Reset(i)
+			if i != w {
+				st.Reset()
+			}
+			done := st.GossipComplete() // n ≤ 1 completes in 0 rounds
+			r := 0
+			for ; r < budget && !done; r++ {
+				tr.Step(st, pr.prog, r)
+				done = st.GossipComplete()
+			}
+			outcomes[i] = outcome{rounds: r, truncated: !done}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("systolic: certify scenario on %s: %w", net.Name, err)
 	}

@@ -9,7 +9,7 @@ import (
 // acceptance workload's network — hypercube d=10 (1024 vertices) under 5%
 // uniform loss — at 64 trials per iteration with the compiled Program and
 // DelayPlan cached, the way the serving layer runs it. Trials fan across
-// the worker pool; each worker reuses one state and one trial object, so
+// parallel workers; each worker reuses one state and one trial object, so
 // the steady-state cost is the masked stepping itself.
 func BenchmarkCertifyScenario(b *testing.B) {
 	net, err := New("hypercube", Dimension(10))

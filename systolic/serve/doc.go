@@ -10,8 +10,12 @@
 // identical requests coalesce onto one underlying simulation (a
 // reference-counted singleflight whose computation is cancelled only when
 // every subscribed client has disconnected). The simulations themselves run
-// on a worker pool of Config.Workers slots with a bounded wait queue —
-// beyond Config.QueueDepth waiters the server answers 429.
+// on Config.Workers slots with a bounded wait queue — beyond
+// Config.QueueDepth waiters the server answers 429. Config.Workers bounds
+// how many computations run at once; the fan-outs inside them (sharded
+// rounds, scan batches, scenario trials, sweep jobs) share the library's
+// GOMAXPROCS parked helpers, so a full server runs at most Workers
+// computing goroutines plus those helpers.
 //
 // Behind the result cache sits a second sharded LRU of compiled programs:
 // an analyze that misses the result cache looks up its schedule (keyed by

@@ -245,7 +245,7 @@ func TestSessionRestoreRejectsMismatches(t *testing.T) {
 // TestSessionShardedMatchesSerial: a gossip session sharded across 1..8
 // workers is byte-identical to the serial session after every round. The
 // network (hypercube d=11, 2048 vertices) reaches DefaultShardThreshold,
-// so every multi-worker session really runs on its pool.
+// so every multi-worker session really shards its rounds.
 func TestSessionShardedMatchesSerial(t *testing.T) {
 	net, err := New("hypercube", Dimension(11))
 	if err != nil {
@@ -275,8 +275,8 @@ func TestSessionShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (sess.pool != nil) != (workers > 1) {
-			t.Fatalf("workers=%d: session pool attached = %v", workers, sess.pool != nil)
+		if sess.st.Shards() != workers {
+			t.Fatalf("workers=%d: session steps %d shards", workers, sess.st.Shards())
 		}
 		for r := 0; !sess.Done(); r++ {
 			if _, err := sess.Step(ctx, 1); err != nil {

@@ -3,7 +3,9 @@ package systolic
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
+
+	"repro/internal/par"
 )
 
 // SweepJob is one cell of a sweep grid: a topology instance (kind + named
@@ -38,54 +40,35 @@ type SweepResult struct {
 	Err error `json:"-"`
 }
 
-// SweepStream fans the job grid across a worker pool (GOMAXPROCS workers by
-// default, WithWorkers to override) and streams one result per job on the
+// SweepStream fans the job grid across up to WithWorkers workers (default
+// GOMAXPROCS) on the worker runtime and streams one result per job on the
 // returned channel as jobs complete, closing it when the grid is done —
-// the feed for live dashboards and JSON-lines progress. Emission order is
-// completion order; every result carries its input Index, and each job's
-// content is identical to what a serial run would produce. Per-job failures,
-// panics included (ErrPanicked), are recorded in SweepResult.Err and do not
-// stop the sweep; cancelling the context stops the grid mid-flight and
-// emits unstarted jobs with the context error. The channel is buffered to
-// the grid size, so the stream finishes (and its goroutines exit) even if
-// the consumer walks away.
+// the feed for live dashboards and JSON-lines progress. It returns at once:
+// one driver goroutine runs the grid. Emission order is completion order;
+// every result carries its input Index, and each job's content is
+// identical to what a serial run would produce. Per-job failures, panics
+// included (ErrPanicked), are recorded in SweepResult.Err and do not stop
+// the sweep; cancelling the context stops the grid mid-flight and emits
+// unstarted jobs with the context error. The channel is buffered to the
+// grid size, so the stream finishes (and its driver exits) even if the
+// consumer walks away.
 func SweepStream(ctx context.Context, jobs []SweepJob, opts ...Option) <-chan SweepResult {
 	cfg := newConfig(opts)
 	out := make(chan SweepResult, len(jobs))
-	workers := cfg.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res := SweepResult{Index: i, Label: jobs[i].Label}
-				runSweepJob(ctx, jobs[i], &res, cfg)
-				out <- res
-			}
-		}()
-	}
 	go func() {
 		defer close(out)
-	feed:
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				// Emit every job the feeder never handed out; workers finish
-				// whatever they already started.
-				for j := i; j < len(jobs); j++ {
-					out <- SweepResult{Index: j, Label: jobs[j].Label, Err: ctx.Err()}
-				}
-				break feed
+		par.Do(len(jobs), cfg.workers, func(i int) {
+			res := SweepResult{Index: i, Label: jobs[i].Label}
+			if err := ctx.Err(); err != nil {
+				res.Err = err
+			} else {
+				runSweepJob(ctx, jobs[i], &res, cfg)
 			}
-		}
-		close(idx)
-		wg.Wait()
+			out <- res
+			// Let a waiting consumer take the result now: a sweep of short
+			// jobs would otherwise run ahead of it and stream in bursts.
+			runtime.Gosched()
+		})
 	}()
 	return out
 }
@@ -103,9 +86,10 @@ func Sweep(ctx context.Context, jobs []SweepJob, opts ...Option) ([]SweepResult,
 	return results, ctx.Err()
 }
 
-// runSweepJob runs one job into res. It runs on a SweepStream worker, so it
-// recovers a panic anywhere in the job into res.Err (ErrPanicked) — one bad
-// cell must not take down the process running the sweep.
+// runSweepJob runs one job into res. It runs under the sweep's driver
+// goroutine, which no caller's recover reaches, so it recovers a panic
+// anywhere in the job into res.Err (ErrPanicked) — one bad cell must not
+// take down the process running the sweep.
 func runSweepJob(ctx context.Context, job SweepJob, res *SweepResult, cfg config) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -129,9 +113,9 @@ func runSweepJob(ctx context.Context, job SweepJob, res *SweepResult, cfg config
 		res.Err = err
 		return
 	}
-	// Jobs already run concurrently; keep each session serial so a sweep
-	// does not oversubscribe the host with nested stepping pools.
-	rep, err := Analyze(ctx, net, p, WithRoundBudget(cfg.budget), WithTrace(cfg.observer), WithWorkers(1))
+	// A job's own sharded rounds share the worker runtime with the sweep:
+	// with every helper busy they run inline on the job's worker.
+	rep, err := Analyze(ctx, net, p, WithRoundBudget(cfg.budget), WithTrace(cfg.observer), WithWorkers(cfg.workers))
 	if err != nil {
 		res.Err = err
 		return
