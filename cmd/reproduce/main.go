@@ -13,8 +13,10 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sync"
 
 	"repro/internal/bounds"
+	"repro/internal/par"
 	"repro/internal/separator"
 	"repro/internal/topology"
 	"repro/systolic"
@@ -140,46 +142,29 @@ func sweep() {
 			Params:   []systolic.Param{systolic.Degree(2), systolic.Diameter(5)},
 			Protocol: systolic.UseProtocol("greedy-half", 100000)},
 	}
+	// Jobs certify on the library's worker runtime, at most GOMAXPROCS at
+	// once. A finished row is held back until its predecessors print, so
+	// the table stays in grid order while each row still prints as early
+	// as possible — long greedy jobs don't silence the whole section.
+	var mu sync.Mutex
 	type certRow struct {
 		cert *systolic.Certificate
 		n    int
 		err  error
+		done bool
 	}
 	rows := make([]certRow, len(jobs))
-	done := make(chan int, len(jobs))
-	// Bounded fan-out: at most GOMAXPROCS jobs certify at once, like the
-	// sweep engine — growing the grid must not oversubscribe the host.
-	feed := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range feed {
-				rows[i].cert, rows[i].n, rows[i].err = certifyJob(jobs[i])
-				done <- i
-			}
-		}()
-	}
-	go func() {
-		for i := range jobs {
-			feed <- i
-		}
-		close(feed)
-	}()
-	// Completed rows are held back until their predecessors print, so the
-	// table stays in grid order while each row still prints as early as
-	// possible — long greedy jobs don't silence the whole section.
-	ready := make([]bool, len(jobs))
 	next := 0
-	for range jobs {
-		ready[<-done] = true
-		for next < len(jobs) && ready[next] {
+	par.Do(len(jobs), runtime.GOMAXPROCS(0), func(i int) {
+		cert, n, err := certifyJob(jobs[i])
+		mu.Lock()
+		defer mu.Unlock()
+		rows[i] = certRow{cert, n, err, true}
+		for next < len(jobs) && rows[next].done {
 			printCertRow(jobs[next].Label, rows[next].cert, rows[next].n, rows[next].err)
 			next++
 		}
-	}
+	})
 }
 
 // scenarios stresses the certified protocols under faults: the paper's

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
@@ -11,12 +12,17 @@ import (
 // counterpart of the CSR Program for periodic protocols whose rounds are
 // arithmetic in the vertex id (dimension-order hypercube exchange, stride
 // rounds on cycles and tori, …). A GenProgram never materializes an arc:
-// each round's senders are recomputed from a graph.RoundSource as the step
-// walks the frontier, so memory per worker is the frontier words plus one
-// fixed chunk buffer — independent of the arc count, which is what lets a
-// d=24 hypercube broadcast simulate in a few hundred MiB where its CSR
-// Program alone would need ~6 GiB. Execution is differential-pinned
-// byte-identical to StepProgram over the Compile of Materialize().
+// each round's receive set is recomputed from a graph.RoundSource, 64
+// destinations per word, as the step walks the frontier, so memory per
+// worker is the frontier words plus one fixed chunk of receive words —
+// independent of the arc count, which is what lets a d=24 hypercube
+// broadcast simulate in a few hundred MiB where its CSR Program alone
+// would need ~6 GiB. Execution is differential-pinned byte-identical to
+// StepProgram over the Compile of Materialize().
+
+// genChunkWords is the number of destination words a step asks its round
+// source for at a time: GenChunkVerts destinations.
+const genChunkWords = graph.GenChunkVerts / 64
 
 // GenProgram is an immutable compiled schedule over a generator: the
 // round → sender map of a periodic protocol, plus the mode and period that
@@ -28,8 +34,10 @@ type GenProgram struct {
 	n      int
 	period int
 
-	fpOnce sync.Once
-	fp     string
+	arcsOnce sync.Once
+	arcs     []int // arcs per round, see roundArcs
+	fpOnce   sync.Once
+	fp       string
 }
 
 // CompileGen lowers a generator-backed periodic schedule into a GenProgram.
@@ -59,13 +67,35 @@ func (g *GenProgram) Mode() Mode { return g.mode }
 func (g *GenProgram) Source() graph.RoundSource { return g.rs }
 
 // RoundArcs counts the arcs round r (mod the period) streams — destinations
-// with a sender. It walks the round once; callers wanting per-round traffic
-// stats should cache the result.
+// with a sender. The counts of every round are computed on first use and
+// memoized.
 func (g *GenProgram) RoundArcs(r int) int {
 	if r < 0 {
 		return 0
 	}
-	return NewGenRun(g).countRound(r % g.period)
+	return g.roundArcs()[r%g.period]
+}
+
+// roundArcs returns the arc count of every round: the popcount of the
+// round's receive words when every vertex is informed. ReceiveWords keeps
+// the bits past n clear, so the all-ones set needs no tail mask.
+func (g *GenProgram) roundArcs() []int {
+	g.arcsOnce.Do(func() {
+		all := newBitset(g.n)
+		for i := range all {
+			all[i] = ^uint64(0)
+		}
+		recv := make([]uint64, genChunkWords)
+		g.arcs = make([]int, g.period)
+		for r := range g.arcs {
+			for wlo := 0; wlo < len(all); wlo += genChunkWords {
+				whi := min(wlo+genChunkWords, len(all))
+				g.rs.ReceiveWords(r, wlo, whi, all, recv)
+				g.arcs[r] += bitset(recv[:whi-wlo]).count()
+			}
+		}
+	})
+	return g.arcs
 }
 
 // Fingerprint returns the schedule identity: the same FNV-1a hash
@@ -102,10 +132,17 @@ func (g *GenProgram) fingerprint() string {
 	h = fnvWord(h, uint64(g.mode))
 	h = fnvWord(h, uint64(g.period))
 	h = fnvWord(h, uint64(g.period)) // len(Rounds) of the materialized protocol
-	run := NewGenRun(g)
-	for r := 0; r < g.period; r++ {
-		h = fnvWord(h, uint64(run.countRound(r)))
-		h = run.foldRound(r, h)
+	buf := make([]int32, graph.GenChunkVerts)
+	for r, arcs := range g.roundArcs() {
+		h = fnvWord(h, uint64(arcs))
+		for lo := 0; lo < g.n; lo += graph.GenChunkVerts {
+			for i, s := range g.senders(r, lo, buf) {
+				if s >= 0 {
+					h = fnvWord(h, uint64(s))
+					h = fnvWord(h, uint64(lo+i))
+				}
+			}
+		}
 	}
 	return fmt.Sprintf("%016x", h)
 }
@@ -116,12 +153,12 @@ func (g *GenProgram) fingerprint() string {
 // differential tests pin StepGenProgram against, and is how the protocol
 // catalog builds schedule-generator protocols on materialized networks.
 func (g *GenProgram) Materialize() *Protocol {
-	run := NewGenRun(g)
+	buf := make([]int32, graph.GenChunkVerts)
 	rounds := make([][]graph.Arc, g.period)
-	for r := range rounds {
-		round := make([]graph.Arc, 0, run.countRound(r))
+	for r, arcs := range g.roundArcs() {
+		round := make([]graph.Arc, 0, arcs)
 		for lo := 0; lo < g.n; lo += graph.GenChunkVerts {
-			for i, s := range run.chunk(r, lo) {
+			for i, s := range g.senders(r, lo, buf) {
 				if s >= 0 {
 					round = append(round, graph.Arc{From: int(s), To: lo + i})
 				}
@@ -132,54 +169,27 @@ func (g *GenProgram) Materialize() *Protocol {
 	return &Protocol{Rounds: rounds, Period: g.period, Mode: g.mode}
 }
 
-// chunk returns the senders of round r's destinations from lo to the end
-// of lo's chunk, in the scratch buffer.
-func (gr *GenRun) chunk(r, lo int) []int32 {
-	hi := min(lo+graph.GenChunkVerts, gr.prog.n)
-	buf := gr.buf[:hi-lo]
-	gr.prog.rs.SenderChunk(r, lo, hi, buf)
+// senders returns the senders of round r's destinations from lo to the
+// end of lo's chunk, in buf (GenChunkVerts long).
+func (g *GenProgram) senders(r, lo int, buf []int32) []int32 {
+	hi := min(lo+graph.GenChunkVerts, g.n)
+	buf = buf[:hi-lo]
+	g.rs.SenderChunk(r, lo, hi, buf)
 	return buf
 }
 
-// countRound returns the number of arcs in round r.
-func (gr *GenRun) countRound(r int) int {
-	arcs := 0
-	for lo := 0; lo < gr.prog.n; lo += graph.GenChunkVerts {
-		for _, s := range gr.chunk(r, lo) {
-			if s >= 0 {
-				arcs++
-			}
-		}
-	}
-	return arcs
-}
-
-// foldRound folds round r's arcs into the FNV state in destination-major
-// order, matching how Protocol.Fingerprint hashes the materialized round.
-func (gr *GenRun) foldRound(r int, h uint64) uint64 {
-	for lo := 0; lo < gr.prog.n; lo += graph.GenChunkVerts {
-		for i, s := range gr.chunk(r, lo) {
-			if s >= 0 {
-				h = fnvWord(h, uint64(s))
-				h = fnvWord(h, uint64(lo+i))
-			}
-		}
-	}
-	return h
-}
-
-// GenRun is the per-worker execution scratch of a GenProgram: the chunk
-// buffer SenderChunk fills. One GenRun per worker; the GenProgram itself is
-// shared and immutable. Allocation happens here, once — the subsequent
-// stepping performs zero allocations.
+// GenRun is the per-worker execution scratch of a GenProgram: one chunk of
+// receive words. One GenRun per worker; the GenProgram itself is shared
+// and immutable. Allocation happens here, once — the subsequent stepping
+// performs zero allocations.
 type GenRun struct {
 	prog *GenProgram
-	buf  []int32 // sender chunk scratch
+	recv []uint64 // receive-word scratch, genChunkWords long
 }
 
 // NewGenRun returns worker-private scratch for g.
 func NewGenRun(g *GenProgram) *GenRun {
-	return &GenRun{prog: g, buf: make([]int32, graph.GenChunkVerts)}
+	return &GenRun{prog: g, recv: make([]uint64, genChunkWords)}
 }
 
 // Program returns the compiled program the scratch belongs to.
@@ -189,8 +199,12 @@ func (gr *GenRun) Program() *GenProgram { return gr.prog }
 // to the packed broadcast frontier and returns the number of newly
 // informed vertices. It is byte-identical to StepProgram(Compile(
 // Materialize()), i): an arc sender → v informs v iff sender was informed
-// at the beginning of the round. The rounds are matchings or opposite
-// pairs, so a sender's live bit is its beginning-of-round bit.
+// at the beginning of the round. The step asks the round source for a
+// chunk of receive words at a time and merges each word into the
+// frontier in place. The rounds are matchings or opposite pairs, so a
+// vertex informed earlier in the same round sends nothing to an
+// uninformed vertex: the live bits a later chunk reads are its
+// beginning-of-round bits wherever they matter.
 //
 //gossip:allowpanic pairing guard: the session layer establishes program/state compatibility
 //gossip:hotpath
@@ -203,15 +217,15 @@ func (f *FrontierState) StepGenProgram(gr *GenRun, i int) int {
 		return 0
 	}
 	r := i % g.period
+	cur := f.informed
 	gained := 0
-	for lo := 0; lo < f.n; lo += graph.GenChunkVerts {
-		for j, s := range gr.chunk(r, lo) {
-			if s >= 0 && f.informed.has(int(s)) {
-				if v := lo + j; !f.informed.has(v) {
-					f.informed.set(v)
-					gained++
-				}
-			}
+	for wlo := 0; wlo < len(cur); wlo += len(gr.recv) {
+		recv := gr.recv[:min(len(gr.recv), len(cur)-wlo)]
+		g.rs.ReceiveWords(r, wlo, wlo+len(recv), cur, recv)
+		for j, x := range recv {
+			nb := x &^ cur[wlo+j]
+			cur[wlo+j] |= nb
+			gained += bits.OnesCount64(nb)
 		}
 	}
 	f.know += gained

@@ -9,12 +9,12 @@ import (
 
 // The generator-program-vs-CSR step pair on hypercube d=12: the same
 // dimension-order exchange schedule, one executing the lowered CSR Program
-// (fused arc pairs in memory) and one recomputing each round's senders
-// from the vertex id. Each reports its resident footprint as bytes/node:
-// the CSR Program carries ~8 bytes per fused pair per round on top of the
-// frontier bits, the generator's scratch is one fixed chunk buffer. The
-// BENCH_PR10 gate holds the generator step within the accepted ratio of
-// the CSR step (see .github/workflows/ci.yml).
+// (fused arc pairs in memory) and one recomputing each round's receive
+// words from the vertex ids. Each reports its resident footprint as
+// bytes/node: the CSR Program carries ~8 bytes per fused pair per round on
+// top of the frontier bits, the generator's scratch is one fixed chunk of
+// receive words. The BENCH_PR10 gate holds the generator step within the
+// accepted ratio of the CSR step (see .github/workflows/ci.yml).
 
 func genProgramBenchSchedule() *gossip.GenProgram {
 	sched := topology.NewSchedule(topology.NewHypercubeClasses(12))
@@ -22,7 +22,7 @@ func genProgramBenchSchedule() *gossip.GenProgram {
 }
 
 // BenchmarkGenProgramStep measures the generator-compiled frontier step:
-// hypercube d=12, senders computed per chunk, zero allocations.
+// hypercube d=12, 64 destinations per receive word, zero allocations.
 func BenchmarkGenProgramStep(b *testing.B) {
 	gen := genProgramBenchSchedule()
 	n := gen.N()
@@ -33,8 +33,9 @@ func BenchmarkGenProgramStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fr.StepGenProgram(run, i)
 	}
-	// After ResetTimer, which deletes user metrics.
-	b.ReportMetric(float64(2*(n/8)+4*4096)/float64(n), "bytes/node")
+	// After ResetTimer, which deletes user metrics. The frontier bitset
+	// plus one chunk of 64 receive words.
+	b.ReportMetric(float64(n/8+8*64)/float64(n), "bytes/node")
 }
 
 // BenchmarkGenProgramStepCSR is the materialized reference: the identical
@@ -53,7 +54,32 @@ func BenchmarkGenProgramStepCSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fr.StepProgram(prog, i)
 	}
-	// One fused exchange (8 bytes) per vertex per round, period d rounds,
-	// on top of the two frontier bitsets.
-	b.ReportMetric(float64(2*(n/8)+8*(n/2)*12)/float64(n), "bytes/node")
+	// One fused exchange (8 bytes) per vertex pair per round, period d
+	// rounds, on top of the frontier bitset.
+	b.ReportMetric(float64(n/8+8*(n/2)*12)/float64(n), "bytes/node")
+}
+
+// BenchmarkGenProgramStepFamilies steps the periodic full-duplex schedules
+// of the families without word arithmetic, whose receive words are packed
+// from partner ids one vertex at a time: CCC(9) and BF(2,12), about 4.6k
+// and 53k vertices.
+func BenchmarkGenProgramStepFamilies(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cls  topology.ExchangeClasses
+	}{
+		{"ccc-9", topology.NewCCCClasses(9)},
+		{"butterfly-2x12", topology.NewButterflyClasses(2, 12)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			gen := gossip.CompileGen(topology.NewSchedule(tc.cls).FullDuplex(), gossip.FullDuplex)
+			run := gossip.NewGenRun(gen)
+			fr := gossip.NewFrontierState(gen.N(), 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fr.StepGenProgram(run, i)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,6 +33,35 @@ func genProgCases() []genProgCase {
 	add("ccc-3", topology.NewSchedule(topology.NewCCCClasses(3)))
 	add("butterfly-2x2", topology.NewSchedule(topology.NewButterflyClasses(2, 2)))
 	cases = append(cases, genProgCase{"cycle2-10", topology.NewCycleTwoPhase(10), Directed})
+	return cases
+}
+
+// wordCases widens genProgCases to the sizes where the word form has edge
+// cases: sub-word hypercubes, cycles around the word size, tori whose n is
+// not a multiple of 64, and the adapted families past one word.
+func wordCases() []genProgCase {
+	var cases []genProgCase
+	add := func(kind string, s *topology.Schedule) {
+		cases = append(cases,
+			genProgCase{kind + "-full", s.FullDuplex(), FullDuplex},
+			genProgCase{kind + "-half", s.HalfDuplex(), HalfDuplex},
+			genProgCase{kind + "-interleaved", s.Interleaved(), HalfDuplex},
+		)
+	}
+	for D := 1; D <= 8; D++ {
+		add(fmt.Sprintf("hypercube-D%d", D), topology.NewSchedule(topology.NewHypercubeClasses(D)))
+	}
+	for _, n := range []int{3, 4, 63, 64, 65, 130} {
+		add(fmt.Sprintf("cycle-%d", n), topology.NewSchedule(topology.NewCycleClasses(n)))
+	}
+	for _, ab := range [][2]int{{3, 4}, {5, 13}, {3, 67}} {
+		add(fmt.Sprintf("torus-%dx%d", ab[0], ab[1]), topology.NewSchedule(topology.NewTorusClasses(ab[0], ab[1])))
+	}
+	add("ccc-4", topology.NewSchedule(topology.NewCCCClasses(4)))
+	add("butterfly-2x4", topology.NewSchedule(topology.NewButterflyClasses(2, 4)))
+	for _, n := range []int{10, 66} {
+		cases = append(cases, genProgCase{fmt.Sprintf("cycle2-%d", n), topology.NewCycleTwoPhase(n), Directed})
+	}
 	return cases
 }
 
@@ -172,6 +202,45 @@ func TestStepGenProgramMatchesStepProgram(t *testing.T) {
 								src, i, v, fg.Informed(v), fs.Informed(v), fc.Informed(v))
 						}
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestStepGenProgramMatchesScalar runs whole broadcasts on the word-form
+// step and on the scalar Sender walk side by side: every round must gain
+// the same count and leave the same frontier words. The word-form arc
+// counts must equal the scalar ones too.
+func TestStepGenProgramMatchesScalar(t *testing.T) {
+	for _, tc := range wordCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := CompileGen(tc.rs, tc.mode)
+			for r := 0; r < gen.Period(); r++ {
+				if got, want := gen.RoundArcs(r), scalarRoundArcs(tc.rs, r); got != want {
+					t.Fatalf("round %d: RoundArcs %d, scalar count %d", r, got, want)
+				}
+			}
+			n := gen.N()
+			run := NewGenRun(gen)
+			rng := rand.New(rand.NewPCG(uint64(n), uint64(gen.Period())))
+			for _, src := range []int{0, n - 1, rng.IntN(n)} {
+				fg := NewFrontierState(n, src)
+				fs := NewFrontierState(n, src)
+				for i := 0; i < 2*n+gen.Period() && fs.InformedCount() < n; i++ {
+					gg := fg.StepGenProgram(run, i)
+					gs := stepScalar(fs, tc.rs, i)
+					if gg != gs {
+						t.Fatalf("source %d round %d: word step gained %d, scalar %d", src, i, gg, gs)
+					}
+					for w := range fs.informed {
+						if fg.informed[w] != fs.informed[w] {
+							t.Fatalf("source %d round %d: frontier word %d %064b, scalar %064b", src, i, w, fg.informed[w], fs.informed[w])
+						}
+					}
+				}
+				if fg.InformedCount() != fs.InformedCount() {
+					t.Fatalf("source %d: word step informed %d, scalar %d", src, fg.InformedCount(), fs.InformedCount())
 				}
 			}
 		})

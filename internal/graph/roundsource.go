@@ -14,14 +14,21 @@ package graph
 // paper's rounds are matchings (each processor talks to at most one
 // neighbor per round), a single sender per destination is fully general;
 // full-duplex exchanges appear as mutual sender pairs (Sender(r, u) == v
-// and Sender(r, v) == u). SenderChunk is the same map a chunk of
-// destinations at a time — the form the schedule steps execute, with a
-// topology-specialized inner loop (a hypercube chunk is one xor per
-// vertex, so the interface dispatch amortizes to nothing over
-// GenChunkVerts destinations); Sender is the scalar reference the tests
-// hold it to. Results must be deterministic and implementations safe for
-// concurrent use (one RoundSource is shared by every worker of a sharded
-// step) and allocation-free (the schedule steps are //gossip:hotpath).
+// and Sender(r, v) == u). Sender is the scalar reference the tests hold
+// the two bulk forms to:
+//
+//   - SenderChunk is the same map a chunk of destinations at a time, for
+//     the callers that need sender ids (materializing and fingerprinting
+//     a schedule).
+//   - ReceiveWords is the word form the schedule step executes: over a
+//     one-bit-per-vertex set (bit v%64 of word v/64), it yields the
+//     destinations whose sender is in the set, 64 destinations per word.
+//     Arithmetic families compute it with shifts and masks on whole words
+//     (a hypercube round is a word lookup or an in-word bit swap).
+//
+// Results must be deterministic and implementations safe for concurrent
+// use (one RoundSource is shared by every worker of a sharded step) and
+// allocation-free (the schedule steps are //gossip:hotpath).
 type RoundSource interface {
 	// N returns the number of vertices.
 	N() int
@@ -34,4 +41,10 @@ type RoundSource interface {
 	// SenderChunk writes Sender(r, v) into out[v-lo] for each v in
 	// [lo, hi). len(out) >= hi-lo.
 	SenderChunk(r, lo, hi int, out []int32)
+	// ReceiveWords writes, for each destination word w in [wlo, whi), the
+	// set of destinations v in w whose round-r sender is in informed into
+	// out[w-wlo]: bit v%64 is set iff Sender(r, v) >= 0 and informed has
+	// bit Sender(r, v). informed holds ⌈N()/64⌉ words; out's bits at or
+	// above N() are 0 whatever informed holds there. len(out) >= whi-wlo.
+	ReceiveWords(r, wlo, whi int, informed, out []uint64)
 }

@@ -10,24 +10,32 @@ import (
 	"testing"
 )
 
-// allowedGo lists the go statements the library may hold, as
+// allowedGo lists the go statements the library and commands may hold, as
 // "file:enclosing function": the helpers this package starts, and
 // SweepStream's driver, which runs the grid so the call can return at
-// once. systolic/serve is left out of the scan: its request-level flights
-// and async jobs are goroutines by design.
+// once.
 var allowedGo = map[string]bool{
 	"internal/par/par.go:start":     true,
 	"systolic/sweep.go:SweepStream": true,
 }
 
+// concurrentByDesign lists the directories left out of the scan: the
+// request-level flights and async jobs of systolic/serve, and gossipd's
+// HTTP server and its load-test clients, are goroutines by design — they
+// wait on connections, not on CPU work.
+var concurrentByDesign = map[string]bool{
+	"systolic/serve": true,
+	"cmd/gossipd":    true,
+}
+
 // TestOnlyParStartsGoroutines pins the single worker runtime: every go
-// statement in the non-test files under internal/ and systolic/ (outside
-// systolic/serve and testdata) is one of allowedGo, so an ad-hoc pool
-// cannot creep back in beside it.
+// statement in the non-test files under internal/, systolic/ and cmd/
+// (outside concurrentByDesign and testdata) is one of allowedGo, so an
+// ad-hoc pool cannot creep back in beside it.
 func TestOnlyParStartsGoroutines(t *testing.T) {
 	root := filepath.Join("..", "..")
 	found := map[string]bool{}
-	for _, dir := range []string{"internal", "systolic"} {
+	for _, dir := range []string{"internal", "systolic", "cmd"} {
 		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -35,7 +43,7 @@ func TestOnlyParStartsGoroutines(t *testing.T) {
 			rel, _ := filepath.Rel(root, path)
 			rel = filepath.ToSlash(rel)
 			if d.IsDir() {
-				if d.Name() == "testdata" || rel == "systolic/serve" {
+				if d.Name() == "testdata" || concurrentByDesign[rel] {
 					return filepath.SkipDir
 				}
 				return nil

@@ -53,9 +53,21 @@
 //
 // For those, Schedule derives the periodic-full/-half/-interleaved
 // protocols as graph.RoundSources and the schedule compiler
-// (gossip.CompileGen) executes them with arcs computed per chunk — so the
-// systolic catalog compiles their canonical protocols on implicit
-// instances without materializing anything. De Bruijn and Kautz graphs
+// (gossip.CompileGen) executes them without materializing anything, so
+// the systolic catalog compiles their canonical protocols on implicit
+// instances. A step asks a class for its receive set 64 destinations per
+// word (ExchangeWords, under the orientation of a half-duplex round):
+//
+//   - hypercube — a word lookup for dimensions ≥ 6, an in-word bit swap
+//     below; "bit c of v is set" is the low→high orientation mask
+//   - cycle, torus — the informed words shifted by each offset a class
+//     uses (±1 and the wrap along rows, ±b and the wrap along columns),
+//     each under the mask of the vertices that use it
+//   - ccc, butterfly (and the directed CycleTwoPhase) — partner ids from
+//     PartnerChunk (SenderChunk) packed into words by senderWord
+//
+// PartnerChunk and SenderChunk remain for materializing and
+// fingerprinting a schedule, which need the sender ids. De Bruijn and Kautz graphs
 // are scan-eligible but NOT schedule-eligible: their matching partition
 // comes from graph.GreedyEdgeColoring, which orders edges by the built
 // arc slice — the classes are data-dependent, not arithmetic — so their

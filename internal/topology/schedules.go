@@ -18,6 +18,31 @@ import (
 // De Bruijn and Kautz graphs are not eligible: their matching partition is
 // greedy (data-dependent), so their periodic protocols keep requiring the
 // materialized digraph.
+//
+// Each coloring comes in two bulk forms. PartnerChunk lists partner ids,
+// which materializing and fingerprinting a schedule need. ExchangeWords is
+// what a schedule step runs: the receive set of a class, one bit per
+// vertex, 64 destinations per word. The hypercube, cycle and torus compute
+// it with word shifts and masks; CCC, the butterfly and CycleTwoPhase fill
+// partner ids and pack them through senderWord, the one per-vertex receive
+// loop left.
+
+// Orientation selects which end of each class edge receives in a round.
+type Orientation uint8
+
+const (
+	// Exchange is full duplex: both ends hear each other.
+	Exchange Orientation = iota
+	// LowToHigh lets v hear its partner p only when p < v.
+	LowToHigh
+	// HighToLow lets v hear its partner p only when p > v.
+	HighToLow
+)
+
+// keeps reports whether a vertex hears the partner at offset k = p − v.
+func (o Orientation) keeps(k int) bool {
+	return o == Exchange || (o == LowToHigh) == (k < 0)
+}
 
 // ExchangeClasses is a proper edge coloring with arithmetic partner maps:
 // the color classes partition the edge set, every class is a partial
@@ -32,10 +57,15 @@ type ExchangeClasses interface {
 	// Partner(c, Partner(c, v)) == v whenever v is matched.
 	Partner(c, v int) int
 	// PartnerChunk writes Partner(c, v) into out[v-lo] for each v in
-	// [lo, hi) — the chunk fast path the schedule steps drive, one
-	// interface call per graph.GenChunkVerts destinations. It must not
+	// [lo, hi), one interface call per chunk of destinations. It must not
 	// allocate and must be safe for concurrent use on disjoint chunks.
 	PartnerChunk(c, lo, hi int, out []int32)
+	// ExchangeWords is the word form of class c under orientation o: it
+	// writes into out[w-wlo], for each word w in [wlo, whi), the vertices
+	// v of w whose partner p is in informed and o.keeps(p − v), following
+	// graph.RoundSource.ReceiveWords for informed, out and the bits at or
+	// above N(). The same allocation and concurrency rules apply.
+	ExchangeWords(c int, o Orientation, wlo, whi int, informed, out []uint64)
 }
 
 // Schedule wraps a family's exchange classes and derives the periodic
@@ -86,29 +116,42 @@ func (s fullDuplexSched) SenderChunk(r, lo, hi int, out []int32) {
 	s.cls.PartnerChunk(r, lo, hi, out)
 }
 
+//gossip:hotpath
+func (s fullDuplexSched) ReceiveWords(r, wlo, whi int, informed, out []uint64) {
+	s.cls.ExchangeWords(r, Exchange, wlo, whi, informed, out)
+}
+
 // halfDuplexSched plays every class low→high, then every class high→low.
 type halfDuplexSched struct{ cls ExchangeClasses }
 
 func (s halfDuplexSched) N() int      { return s.cls.N() }
 func (s halfDuplexSched) Rounds() int { return 2 * s.cls.Classes() }
 
+// class returns round r's class and orientation.
+func (s halfDuplexSched) class(r int) (int, Orientation) {
+	if k := s.cls.Classes(); r >= k {
+		return r - k, HighToLow
+	}
+	return r, LowToHigh
+}
+
 //gossip:hotpath
 func (s halfDuplexSched) Sender(r, v int) int {
-	c, forward := r, true
-	if k := s.cls.Classes(); r >= k {
-		c, forward = r-k, false
-	}
-	return orient(s.cls.Partner(c, v), v, forward)
+	c, o := s.class(r)
+	return orient(s.cls.Partner(c, v), v, o)
 }
 
 //gossip:hotpath
 func (s halfDuplexSched) SenderChunk(r, lo, hi int, out []int32) {
-	c, forward := r, true
-	if k := s.cls.Classes(); r >= k {
-		c, forward = r-k, false
-	}
+	c, o := s.class(r)
 	s.cls.PartnerChunk(c, lo, hi, out)
-	orientChunk(lo, hi, forward, out)
+	orientChunk(lo, hi, o, out)
+}
+
+//gossip:hotpath
+func (s halfDuplexSched) ReceiveWords(r, wlo, whi int, informed, out []uint64) {
+	c, o := s.class(r)
+	s.cls.ExchangeWords(c, o, wlo, whi, informed, out)
 }
 
 // interleavedSched alternates each class's two orientations back to back.
@@ -117,27 +160,38 @@ type interleavedSched struct{ cls ExchangeClasses }
 func (s interleavedSched) N() int      { return s.cls.N() }
 func (s interleavedSched) Rounds() int { return 2 * s.cls.Classes() }
 
+// class returns round r's class and orientation.
+func (s interleavedSched) class(r int) (int, Orientation) {
+	if r&1 == 0 {
+		return r >> 1, LowToHigh
+	}
+	return r >> 1, HighToLow
+}
+
 //gossip:hotpath
 func (s interleavedSched) Sender(r, v int) int {
-	return orient(s.cls.Partner(r>>1, v), v, r&1 == 0)
+	c, o := s.class(r)
+	return orient(s.cls.Partner(c, v), v, o)
 }
 
 //gossip:hotpath
 func (s interleavedSched) SenderChunk(r, lo, hi int, out []int32) {
-	s.cls.PartnerChunk(r>>1, lo, hi, out)
-	orientChunk(lo, hi, r&1 == 0, out)
+	c, o := s.class(r)
+	s.cls.PartnerChunk(c, lo, hi, out)
+	orientChunk(lo, hi, o, out)
 }
 
-// orient keeps partner p as v's sender only in the active direction:
-// forward rounds send low-id → high-id (v receives iff p < v), backward
-// rounds the reverse.
+//gossip:hotpath
+func (s interleavedSched) ReceiveWords(r, wlo, whi int, informed, out []uint64) {
+	c, o := s.class(r)
+	s.cls.ExchangeWords(c, o, wlo, whi, informed, out)
+}
+
+// orient keeps partner p as v's sender only on the side o selects.
 //
 //gossip:hotpath
-func orient(p, v int, forward bool) int {
-	if p < 0 {
-		return -1
-	}
-	if forward == (p < v) {
+func orient(p, v int, o Orientation) int {
+	if p >= 0 && o.keeps(p-v) {
 		return p
 	}
 	return -1
@@ -146,20 +200,50 @@ func orient(p, v int, forward bool) int {
 // orientChunk applies orient in place over a PartnerChunk result.
 //
 //gossip:hotpath
-func orientChunk(lo, hi int, forward bool, out []int32) {
-	if forward {
-		for i := range out[:hi-lo] {
-			if int(out[i]) > lo+i {
-				out[i] = -1
-			}
-		}
-		return
+func orientChunk(lo, hi int, o Orientation, out []int32) {
+	for i, p := range out[:hi-lo] {
+		out[i] = int32(orient(int(p), lo+i, o))
 	}
-	for i := range out[:hi-lo] {
-		if p := int(out[i]); p < lo+i { // p == -1 stays -1
-			out[i] = -1
-		}
+}
+
+// senderWord packs one receive word from the sender ids of destinations
+// v0, v0+1, …, v0+len(ids)−1 (partner ids, filtered by o): bit j is set
+// iff ids[j] >= 0, informed has ids[j] and o keeps it. It is the per-vertex
+// adapter from the chunk form to the word form, for the families with no
+// word arithmetic.
+//
+//gossip:hotpath
+func senderWord(ids []int32, v0 int, o Orientation, informed []uint64) uint64 {
+	// Branch-free: whether a sender is informed is data, not a pattern a
+	// branch predictor learns. below and above select the senders o keeps
+	// by their side of the destination.
+	below, above := uint64(1), uint64(1)
+	switch o {
+	case LowToHigh:
+		above = 0
+	case HighToLow:
+		below = 0
 	}
+	var x uint64
+	for j, p := range ids {
+		neg := p >> 31        // -1 when there is no sender, else 0
+		q := uint32(p &^ neg) // sender id, 0 when there is none
+		lt := uint64(int64(p)-int64(v0+j)) >> 63
+		bit := informed[q>>6] >> (q & 63) & uint64(neg+1) & (lt&below | (lt^1)&above)
+		x |= bit << uint(j)
+	}
+	return x
+}
+
+// cycleShape is class cl of the canonical C_L coloring as coordinate
+// offsets. With runs, a coordinate x of parity up pairs with x+1 (when
+// x < L−1) and one of the other parity with x−1 (when x > 0); with wrap,
+// 0 and L−1 pair across the wrap edge. Even L: class 0 pairs (2i, 2i+1),
+// class 1 pairs (2i+1, 2i+2) and the wrap edge. Odd L: the same two stride
+// classes stop short of the wrap edge, which forms class 2 alone.
+type cycleShape struct {
+	up         int
+	runs, wrap bool
 }
 
 // cycleClassCount returns the chromatic index of C_n: 2 when n is even,
@@ -171,50 +255,161 @@ func cycleClassCount(n int) int {
 	return 3
 }
 
+// cycleClassShape returns the shape of class cl of the C_L coloring.
+func cycleClassShape(cl, L int) cycleShape {
+	if L%2 == 0 {
+		return cycleShape{up: cl, runs: true, wrap: cl == 1}
+	}
+	return cycleShape{up: cl & 1, runs: cl < 2, wrap: cl == 2}
+}
+
+// Offset terms of a cycle coloring: the mate of coordinate x is x+1,
+// x−1, L−1 (from x = 0) or 0 (from x = L−1).
+const (
+	termUp = iota
+	termDown
+	termWrapUp
+	termWrapDown
+	numTerms
+)
+
+// term returns the offset term of coordinate x, or -1 when x is unmatched.
+//
+//gossip:hotpath
+func (sh cycleShape) term(x, L int) int {
+	switch {
+	case sh.runs && x&1 == sh.up && x < L-1:
+		return termUp
+	case sh.runs && x&1 != sh.up && x > 0:
+		return termDown
+	case sh.wrap && x == 0:
+		return termWrapUp
+	case sh.wrap && x == L-1:
+		return termWrapDown
+	}
+	return -1
+}
+
 // cyclePartner returns v's mate in class c of the canonical C_n edge
-// coloring, or -1. Even n: class 0 pairs (2i, 2i+1), class 1 pairs
-// (2i+1, 2i+2 mod n). Odd n: the same two stride classes stop short of the
-// wrap edge (n-1, 0), which forms class 2 alone.
+// coloring (see cycleShape), or -1.
 //
 //gossip:hotpath
 func cyclePartner(c, v, n int) int {
-	if n%2 == 0 {
-		if c == 0 {
-			return v ^ 1
-		}
-		if v&1 == 1 {
-			if v == n-1 {
-				return 0
-			}
-			return v + 1
-		}
-		if v == 0 {
-			return n - 1
-		}
+	switch cycleClassShape(c, n).term(v, n) {
+	case termUp:
+		return v + 1
+	case termDown:
 		return v - 1
+	case termWrapUp:
+		return n - 1
+	case termWrapDown:
+		return 0
 	}
-	switch c {
-	case 0:
-		if v == n-1 {
-			return -1
+	return -1
+}
+
+// evenBits has bit j set for every even j.
+const evenBits = 0x5555555555555555
+
+// bitRange returns a word with bits [s, e) set, 0 <= s < e <= 64.
+//
+//gossip:hotpath
+func bitRange(s, e int) uint64 {
+	return (^uint64(0) >> uint(64-(e-s))) << uint(s)
+}
+
+// shiftedWord returns the word whose bit j is bit 64w+j+k of x, reading
+// words outside x as 0.
+//
+//gossip:hotpath
+func shiftedWord(x []uint64, w, k int) uint64 {
+	q, s := w+k>>6, uint(k&63)
+	if s == 0 {
+		return wordAt(x, q)
+	}
+	return wordAt(x, q)>>s | wordAt(x, q+1)<<(64-s)
+}
+
+// wordAt returns x[i], or 0 when i is out of range.
+//
+//gossip:hotpath
+func wordAt(x []uint64, i int) uint64 {
+	if uint(i) < uint(len(x)) {
+		return x[i]
+	}
+	return 0
+}
+
+// gridWords is the word form of a cycle coloring laid along one axis of
+// the row-major a×b grid (vertex r·b + c; a cycle is the 1×n grid): along
+// rows the coordinate is c and an offset of 1 moves one bit, along
+// columns it is r and an offset moves b bits. Each word is cut into row
+// segments; a segment adds its vertices to the mask of their offset term
+// (along rows by parity, with the segment's ends at c = 0 and c = b−1
+// resolved by term), and the word is the OR, over the terms o keeps, of
+// the informed set shifted by the term's offset under its mask.
+//
+//gossip:hotpath
+func gridWords(a, b int, column bool, sh cycleShape, o Orientation, wlo, whi int, informed, out []uint64) {
+	L, t := b, 1
+	if column {
+		L, t = a, b
+	}
+	shift := [numTerms]int{t, -t, (L - 1) * t, -(L - 1) * t}
+	n := a * b
+	for i := range out[:whi-wlo] {
+		w := wlo + i
+		var m [numTerms]uint64
+		base := w << 6
+		for v := base; v < min(n, base+64); {
+			r, c := v/b, v%b
+			end := min(v+b-c, base+64)
+			s, e := v-base, end-base
+			seg := bitRange(s, e)
+			if column {
+				if k := sh.term(r, a); k >= 0 {
+					m[k] |= seg
+				}
+				v = end
+				continue
+			}
+			if sh.runs {
+				par := uint64(evenBits) // bits whose coordinate has parity up
+				if (s+c+sh.up)&1 != 0 {
+					par = ^par
+				}
+				m[termUp] |= seg & par
+				m[termDown] |= seg &^ par
+			}
+			// The row's ends within this word take the term of their
+			// coordinate, not the one their parity suggests.
+			if c == 0 {
+				setTerm(&m, s, sh.term(0, L))
+			}
+			if end == v+b-c {
+				setTerm(&m, e-1, sh.term(L-1, L))
+			}
+			v = end
 		}
-		return v ^ 1
-	case 1:
-		if v == 0 {
-			return -1
+		var x uint64
+		for k, mk := range m {
+			if mk != 0 && o.keeps(shift[k]) {
+				x |= shiftedWord(informed, w, shift[k]) & mk
+			}
 		}
-		if v&1 == 1 {
-			return v + 1
-		}
-		return v - 1
-	default:
-		if v == 0 {
-			return n - 1
-		}
-		if v == n-1 {
-			return 0
-		}
-		return -1
+		out[i] = x
+	}
+}
+
+// setTerm moves bit j of the term masks m to term k (none when k < 0).
+//
+//gossip:hotpath
+func setTerm(m *[numTerms]uint64, j, k int) {
+	bit := uint64(1) << uint(j)
+	m[termUp] &^= bit
+	m[termDown] &^= bit
+	if k >= 0 {
+		m[k] |= bit
 	}
 }
 
@@ -256,6 +451,55 @@ func (h *HypercubeClasses) PartnerChunk(c, lo, hi int, out []int32) {
 	}
 }
 
+// hypercubeHigh[c] has bit j set iff bit c of j is set: the vertices of a
+// word whose dimension-c partner (c < 6) lies below them in the same word.
+var hypercubeHigh = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
+}
+
+// ExchangeWords flips dimension c a word at a time. For c >= 6 the partner
+// of word w is word w XOR 2^(c−6), and bit c of v is bit c−6 of w; for
+// c < 6 the partners share a word and swap 2^c-bit blocks under the mask
+// "bit c of v is set", which is also the low→high orientation mask.
+//
+//gossip:hotpath
+func (h *HypercubeClasses) ExchangeWords(c int, o Orientation, wlo, whi int, informed, out []uint64) {
+	out = out[:whi-wlo]
+	if c >= 6 {
+		k := 1 << uint(c-6)
+		for i := range out {
+			w := wlo + i
+			off := k // the partner's offset, in words
+			if w&k != 0 {
+				off = -k
+			}
+			if o.keeps(off) {
+				out[i] = informed[w^k]
+			} else {
+				out[i] = 0
+			}
+		}
+		return
+	}
+	s, high := uint(1)<<uint(c), hypercubeHigh[c]
+	var fromLow, fromHigh uint64 = ^uint64(0), ^uint64(0)
+	switch o {
+	case LowToHigh:
+		fromHigh = 0
+	case HighToLow:
+		fromLow = 0
+	}
+	tail := ^uint64(0)
+	if h.n < 64 {
+		tail = 1<<uint(h.n) - 1
+	}
+	for i := range out {
+		x := informed[wlo+i]
+		out[i] = ((x&^high)<<s&fromLow | (x&high)>>s&fromHigh) & tail
+	}
+}
+
 // CycleClasses is the canonical stride coloring of C_n (n >= 3): 2 classes
 // when n is even, 3 when odd.
 type CycleClasses struct {
@@ -290,6 +534,13 @@ func (c *CycleClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	for i := range out[:hi-lo] {
 		out[i] = int32(cyclePartner(cl, lo+i, c.n))
 	}
+}
+
+// ExchangeWords shifts the informed words by ±1 and across the wrap edge.
+//
+//gossip:hotpath
+func (c *CycleClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
+	gridWords(1, c.n, false, cycleClassShape(cl, c.n), o, wlo, whi, informed, out)
 }
 
 // TorusClasses colors the a×b torus row-cycles first, then column-cycles:
@@ -343,29 +594,21 @@ func (t *TorusClasses) Partner(cl, v int) int {
 //
 //gossip:hotpath
 func (t *TorusClasses) PartnerChunk(cl, lo, hi int, out []int32) {
-	kb := cycleClassCount(t.b)
-	if cl < kb {
-		for v := lo; v < hi; v++ {
-			r, c := v/t.b, v%t.b
-			pc := cyclePartner(cl, c, t.b)
-			if pc < 0 {
-				out[v-lo] = -1
-				continue
-			}
-			out[v-lo] = int32(r*t.b + pc)
-		}
+	for v := lo; v < hi; v++ {
+		out[v-lo] = int32(t.Partner(cl, v))
+	}
+}
+
+// ExchangeWords shifts the informed words within rows (by ±1 and ±(b−1))
+// or within columns (by ±b and ±(a−1)·b).
+//
+//gossip:hotpath
+func (t *TorusClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
+	if kb := cycleClassCount(t.b); cl >= kb {
+		gridWords(t.a, t.b, true, cycleClassShape(cl-kb, t.a), o, wlo, whi, informed, out)
 		return
 	}
-	cl -= kb
-	for v := lo; v < hi; v++ {
-		r, c := v/t.b, v%t.b
-		pr := cyclePartner(cl, r, t.a)
-		if pr < 0 {
-			out[v-lo] = -1
-			continue
-		}
-		out[v-lo] = int32(pr*t.b + c)
-	}
+	gridWords(t.a, t.b, false, cycleClassShape(cl, t.b), o, wlo, whi, informed, out)
 }
 
 // CCCClasses colors CCC(D) cycle-edges first, then cube-edges: classes
@@ -417,14 +660,19 @@ func (c *CCCClasses) Partner(cl, v int) int {
 func (c *CCCClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	D := uint(c.d)
 	if cl < cycleClassCount(c.d) {
-		for v := lo; v < hi; v++ {
-			w := v & c.mask
-			pi := cyclePartner(cl, v>>D, c.d)
-			if pi < 0 {
-				out[v-lo] = -1
-				continue
+		// A ring position i is a run of 2^D ids, all moving to the same
+		// partner position.
+		for v := lo; v < hi; {
+			i := v >> D
+			end := min(hi, (i+1)<<D)
+			pi := cyclePartner(cl, i, c.d)
+			for ; v < end; v++ {
+				if pi < 0 {
+					out[v-lo] = -1
+				} else {
+					out[v-lo] = int32(v + (pi-i)<<D)
+				}
 			}
-			out[v-lo] = int32(pi<<D | w)
 		}
 		return
 	}
@@ -432,6 +680,18 @@ func (c *CCCClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 		w := v & c.mask
 		i := v >> D
 		out[v-lo] = int32(i<<D | (w ^ (1 << uint(i))))
+	}
+}
+
+// ExchangeWords packs PartnerChunk a word at a time through senderWord.
+//
+//gossip:hotpath
+func (c *CCCClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
+	var ids [64]int32
+	for w := wlo; w < whi; w++ {
+		lo, hi := w<<6, min(w<<6+64, c.n)
+		c.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+		out[w-wlo] = senderWord(ids[:hi-lo], lo, o, informed)
 	}
 }
 
@@ -503,6 +763,26 @@ func (b *ButterflyClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	}
 }
 
+// ExchangeWords packs PartnerChunk a word at a time through senderWord.
+// Class (l, m) matches only levels l−1 and l, so the words wholly outside
+// them receive nothing and skip the per-vertex walk.
+//
+//gossip:hotpath
+func (b *ButterflyClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
+	l := cl/b.d + 1
+	vlo, vhi := (l-1)*b.dD, (l+1)*b.dD
+	var ids [64]int32
+	for w := wlo; w < whi; w++ {
+		lo, hi := w<<6, min(w<<6+64, b.n)
+		if hi <= vlo || lo >= vhi {
+			out[w-wlo] = 0
+			continue
+		}
+		b.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+		out[w-wlo] = senderWord(ids[:hi-lo], lo, o, informed)
+	}
+}
+
 // CycleTwoPhase is the cycle2 protocol as a RoundSource: the directed
 // two-phase systolic cycle protocol (period 2, even n ≥ 4) in which round
 // r activates the arcs i → i+1 mod n for even-parity i when r = 0 and
@@ -555,6 +835,18 @@ func (c *CycleTwoPhase) SenderChunk(r, lo, hi int, out []int32) {
 		} else {
 			out[v-lo] = -1
 		}
+	}
+}
+
+// ReceiveWords packs SenderChunk a word at a time through senderWord.
+//
+//gossip:hotpath
+func (c *CycleTwoPhase) ReceiveWords(r, wlo, whi int, informed, out []uint64) {
+	var ids [64]int32
+	for w := wlo; w < whi; w++ {
+		lo, hi := w<<6, min(w<<6+64, c.n)
+		c.SenderChunk(r, lo, hi, ids[:hi-lo])
+		out[w-wlo] = senderWord(ids[:hi-lo], lo, Exchange, informed)
 	}
 }
 

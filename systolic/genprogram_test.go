@@ -238,8 +238,9 @@ func TestGenSessionMemoryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngineFromProgram(pr, WithMaxMemory(1024)); !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("1 KiB cap: err=%v, want ErrMemoryBudget", err)
+	// The session needs 128 B of frontier words plus 512 B of receive words.
+	if _, err := NewEngineFromProgram(pr, WithMaxMemory(512)); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("512 B cap: err=%v, want ErrMemoryBudget", err)
 	}
 	sess, err := NewEngineFromProgram(pr, WithMaxMemory(1<<20), WithRoundBudget(100))
 	if err != nil {

@@ -109,12 +109,13 @@ func (pr *Program) Fingerprint() string {
 }
 
 // genSessionFootprint estimates the resident bytes a generator-program
-// session allocates: the frontier bitset plus the sender chunk scratch.
+// session allocates: the frontier bitset plus one chunk of receive words,
+// a bit per chunk vertex.
 // It is what WithMaxMemory meters on the streaming path — deliberately
 // excluding the O(arcs) cost the generator exists to avoid.
 func genSessionFootprint(n int) int64 {
 	words := int64((n + 63) / 64)
-	return 8*words + 4*int64(graph.GenChunkVerts)
+	return 8*words + int64(graph.GenChunkVerts)/8
 }
 
 // NewEngineFromProgram returns a fresh session at round zero executing an

@@ -3,6 +3,7 @@ package systolic
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -315,7 +316,14 @@ func CertifyScenarioProgram(ctx context.Context, pr *Program, sc *Scenario, tria
 	stats.P50 = nearestRank(sorted, 0.50)
 	stats.P90 = nearestRank(sorted, 0.90)
 	stats.P99 = nearestRank(sorted, 0.99)
-	stats.DistributionFP = fmt.Sprintf("%016x", fp.Sum64())
+	// The "%016x" of the hash, formatted without fmt: fmt.Sprintf draws
+	// its printer from a sync.Pool that every GC empties, so it would add
+	// an allocation per call that depends on when the collector ran.
+	var sum64 [8]byte
+	var digits [16]byte
+	binary.BigEndian.PutUint64(sum64[:], fp.Sum64())
+	hex.Encode(digits[:], sum64[:])
+	stats.DistributionFP = string(digits[:])
 
 	out := &StatisticalCertificate{
 		Network:         net.Name,
