@@ -54,15 +54,15 @@ func BenchmarkGenProgramStepCSR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fr.StepProgram(prog, i)
 	}
-	// One fused exchange (8 bytes) per vertex pair per round, period d
-	// rounds, on top of the frontier bitset.
-	b.ReportMetric(float64(n/8+8*(n/2)*12)/float64(n), "bytes/node")
+	// One fused exchange (8 bytes) per vertex per round, period d rounds,
+	// on top of the two frontier bitsets.
+	b.ReportMetric(float64(2*(n/8)+8*(n/2)*12)/float64(n), "bytes/node")
 }
 
 // BenchmarkGenProgramStepFamilies steps the periodic full-duplex schedules
 // of the families without word arithmetic, whose receive words are packed
-// from partner ids one vertex at a time: CCC(9) and BF(2,12), about 4.6k
-// and 53k vertices.
+// from partner ids one vertex at a time: CCC(9), BF(2,12), C_65536 and the
+// 256×256 torus, about 4.6k, 53k, 66k and 66k vertices.
 func BenchmarkGenProgramStepFamilies(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -70,6 +70,8 @@ func BenchmarkGenProgramStepFamilies(b *testing.B) {
 	}{
 		{"ccc-9", topology.NewCCCClasses(9)},
 		{"butterfly-2x12", topology.NewButterflyClasses(2, 12)},
+		{"cycle-65536", topology.NewCycleClasses(65536)},
+		{"torus-256x256", topology.NewTorusClasses(256, 256)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			gen := gossip.CompileGen(topology.NewSchedule(tc.cls).FullDuplex(), gossip.FullDuplex)

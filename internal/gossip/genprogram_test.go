@@ -38,7 +38,10 @@ func genProgCases() []genProgCase {
 
 // wordCases widens genProgCases to the sizes where the word form has edge
 // cases: sub-word hypercubes, cycles around the word size, tori whose n is
-// not a multiple of 64, and the adapted families past one word.
+// not a multiple of 64, the adapted families past one word, and every
+// family past one step chunk (graph.GenChunkVerts destinations), where the
+// in-place step reads frontier words an earlier chunk already updated and
+// hypercube dimensions >= 12 pair words of different chunks.
 func wordCases() []genProgCase {
 	var cases []genProgCase
 	add := func(kind string, s *topology.Schedule) {
@@ -59,7 +62,14 @@ func wordCases() []genProgCase {
 	}
 	add("ccc-4", topology.NewSchedule(topology.NewCCCClasses(4)))
 	add("butterfly-2x4", topology.NewSchedule(topology.NewButterflyClasses(2, 4)))
-	for _, n := range []int{10, 66} {
+	for _, D := range []int{13, 14} {
+		add(fmt.Sprintf("hypercube-D%d", D), topology.NewSchedule(topology.NewHypercubeClasses(D)))
+	}
+	add("cycle-4200", topology.NewSchedule(topology.NewCycleClasses(4200)))
+	add("torus-65x70", topology.NewSchedule(topology.NewTorusClasses(65, 70)))
+	add("ccc-10", topology.NewSchedule(topology.NewCCCClasses(10)))
+	add("butterfly-2x10", topology.NewSchedule(topology.NewButterflyClasses(2, 10)))
+	for _, n := range []int{10, 66, 4200} {
 		cases = append(cases, genProgCase{fmt.Sprintf("cycle2-%d", n), topology.NewCycleTwoPhase(n), Directed})
 	}
 	return cases
@@ -224,7 +234,13 @@ func TestStepGenProgramMatchesScalar(t *testing.T) {
 			n := gen.N()
 			run := NewGenRun(gen)
 			rng := rand.New(rand.NewPCG(uint64(n), uint64(gen.Period())))
-			for _, src := range []int{0, n - 1, rng.IntN(n)} {
+			sources := []int{0, n - 1, rng.IntN(n)}
+			if n > graph.GenChunkVerts {
+				// One source on the chunk boundary, whose frontier crosses
+				// it at once, keeps the long cycle broadcasts short.
+				sources = []int{graph.GenChunkVerts - 1}
+			}
+			for _, src := range sources {
 				fg := NewFrontierState(n, src)
 				fs := NewFrontierState(n, src)
 				for i := 0; i < 2*n+gen.Period() && fs.InformedCount() < n; i++ {

@@ -60,11 +60,9 @@
 //
 //   - hypercube — a word lookup for dimensions ≥ 6, an in-word bit swap
 //     below; "bit c of v is set" is the low→high orientation mask
-//   - cycle, torus — the informed words shifted by each offset a class
-//     uses (±1 and the wrap along rows, ±b and the wrap along columns),
-//     each under the mask of the vertices that use it
-//   - ccc, butterfly (and the directed CycleTwoPhase) — partner ids from
-//     PartnerChunk (SenderChunk) packed into words by senderWord
+//   - cycle, torus, ccc, butterfly (and the directed CycleTwoPhase) —
+//     partner ids from PartnerChunk (SenderChunk) packed into words by
+//     packWords
 //
 // PartnerChunk and SenderChunk remain for materializing and
 // fingerprinting a schedule, which need the sender ids. De Bruijn and Kautz graphs

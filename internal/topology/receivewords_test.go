@@ -26,12 +26,13 @@ func scheduleRounds(name string, cls ExchangeClasses) []roundCase {
 }
 
 // receiveWordsCases covers every RoundSource: hypercubes below and above
-// one word (D < 6 is a sub-word cube), cycles around the word size, tori
+// one word (D < 6 is a sub-word cube) and past one step chunk of 4096
+// vertices (D = 13), cycles around the word size, tori
 // whose n is not a multiple of 64 (rows shorter and longer than a word),
 // CCC, butterflies and the directed two-phase cycle.
 func receiveWordsCases() []roundCase {
 	var cases []roundCase
-	for D := 1; D <= 8; D++ {
+	for _, D := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
 		cases = append(cases, scheduleRounds(fmt.Sprintf("hypercube-D%d", D), NewHypercubeClasses(D))...)
 	}
 	for _, n := range []int{3, 4, 63, 64, 65, 130} {
@@ -163,12 +164,14 @@ func fuzzRoundSource(kind uint8, size int) graph.RoundSource {
 }
 
 // TestExchangeWordsAllocs pins the zero-allocation contract of the word
-// forms, native and adapted.
+// forms: the hypercube's word arithmetic and every packWords adapter.
 func TestExchangeWordsAllocs(t *testing.T) {
 	for _, tc := range []roundCase{
 		{"hypercube", NewSchedule(NewHypercubeClasses(10)).HalfDuplex()},
+		{"cycle", NewSchedule(NewCycleClasses(131)).FullDuplex()},
 		{"torus", NewSchedule(NewTorusClasses(5, 70)).Interleaved()},
 		{"ccc", NewSchedule(NewCCCClasses(5)).FullDuplex()},
+		{"butterfly", NewSchedule(NewButterflyClasses(2, 5)).HalfDuplex()},
 		{"cycle2", NewCycleTwoPhase(130)},
 	} {
 		n := tc.rs.N()

@@ -22,10 +22,10 @@ import (
 // Each coloring comes in two bulk forms. PartnerChunk lists partner ids,
 // which materializing and fingerprinting a schedule need. ExchangeWords is
 // what a schedule step runs: the receive set of a class, one bit per
-// vertex, 64 destinations per word. The hypercube, cycle and torus compute
-// it with word shifts and masks; CCC, the butterfly and CycleTwoPhase fill
-// partner ids and pack them through senderWord, the one per-vertex receive
-// loop left.
+// vertex, 64 destinations per word. The hypercube computes it with word
+// lookups and in-word bit swaps; the cycle, torus, CCC, butterfly and
+// CycleTwoPhase fill partner ids and pack them through packWords, the one
+// per-vertex receive loop left.
 
 // Orientation selects which end of each class edge receives in a round.
 type Orientation uint8
@@ -208,42 +208,55 @@ func orientChunk(lo, hi int, o Orientation, out []int32) {
 
 // senderWord packs one receive word from the sender ids of destinations
 // v0, v0+1, …, v0+len(ids)−1 (partner ids, filtered by o): bit j is set
-// iff ids[j] >= 0, informed has ids[j] and o keeps it. It is the per-vertex
-// adapter from the chunk form to the word form, for the families with no
-// word arithmetic.
+// iff ids[j] >= 0, informed has ids[j] and o keeps it.
 //
 //gossip:hotpath
 func senderWord(ids []int32, v0 int, o Orientation, informed []uint64) uint64 {
 	// Branch-free: whether a sender is informed is data, not a pattern a
-	// branch predictor learns. below and above select the senders o keeps
-	// by their side of the destination.
-	below, above := uint64(1), uint64(1)
-	switch o {
-	case LowToHigh:
-		above = 0
-	case HighToLow:
-		below = 0
-	}
-	var x uint64
+	// branch predictor learns. below marks the destinations whose sender
+	// lies below them, which o selects from at the end.
+	var x, below uint64
 	for j, p := range ids {
 		neg := p >> 31        // -1 when there is no sender, else 0
 		q := uint32(p &^ neg) // sender id, 0 when there is none
-		lt := uint64(int64(p)-int64(v0+j)) >> 63
-		bit := informed[q>>6] >> (q & 63) & uint64(neg+1) & (lt&below | (lt^1)&above)
-		x |= bit << uint(j)
+		x |= informed[q>>6] >> (q & 63) & uint64(neg+1) << uint(j)
+		below |= uint64(int64(p)-int64(v0+j)) >> 63 << uint(j)
+	}
+	switch o {
+	case LowToHigh:
+		return x & below
+	case HighToLow:
+		return x &^ below
 	}
 	return x
 }
 
-// cycleShape is class cl of the canonical C_L coloring as coordinate
-// offsets. With runs, a coordinate x of parity up pairs with x+1 (when
-// x < L−1) and one of the other parity with x−1 (when x > 0); with wrap,
-// 0 and L−1 pair across the wrap edge. Even L: class 0 pairs (2i, 2i+1),
-// class 1 pairs (2i+1, 2i+2) and the wrap edge. Odd L: the same two stride
-// classes stop short of the wrap edge, which forms class 2 alone.
-type cycleShape struct {
-	up         int
-	runs, wrap bool
+// idChunker is a family without word arithmetic as packWords sees it:
+// ids64 returns the sender ids (partner ids, before orientation) of class
+// or round c for the destinations [lo, hi) of one word, in ids[:hi-lo].
+// The ids come back by value because a buffer passed through the
+// interface would escape and allocate.
+type idChunker interface {
+	ids64(c, lo, hi int) [64]int32
+}
+
+// packWords is the word form built from sender ids: for each word w in
+// [wlo, whi), it packs the ids src gives for the destinations of w within
+// [vlo, vhi) through senderWord. Destinations outside [vlo, vhi) — at
+// least those at or above N() — receive nothing.
+//
+//gossip:hotpath
+func packWords(src idChunker, c int, o Orientation, vlo, vhi, wlo, whi int, informed, out []uint64) {
+	for i := range out[:whi-wlo] {
+		base := (wlo + i) << 6
+		lo, hi := max(base, vlo), min(base+64, vhi)
+		if lo >= hi {
+			out[i] = 0
+			continue
+		}
+		ids := src.ids64(c, lo, hi)
+		out[i] = senderWord(ids[:hi-lo], lo, o, informed) << uint(lo-base)
+	}
 }
 
 // cycleClassCount returns the chromatic index of C_n: 2 when n is even,
@@ -255,161 +268,50 @@ func cycleClassCount(n int) int {
 	return 3
 }
 
-// cycleClassShape returns the shape of class cl of the C_L coloring.
-func cycleClassShape(cl, L int) cycleShape {
-	if L%2 == 0 {
-		return cycleShape{up: cl, runs: true, wrap: cl == 1}
-	}
-	return cycleShape{up: cl & 1, runs: cl < 2, wrap: cl == 2}
-}
-
-// Offset terms of a cycle coloring: the mate of coordinate x is x+1,
-// x−1, L−1 (from x = 0) or 0 (from x = L−1).
-const (
-	termUp = iota
-	termDown
-	termWrapUp
-	termWrapDown
-	numTerms
-)
-
-// term returns the offset term of coordinate x, or -1 when x is unmatched.
-//
-//gossip:hotpath
-func (sh cycleShape) term(x, L int) int {
-	switch {
-	case sh.runs && x&1 == sh.up && x < L-1:
-		return termUp
-	case sh.runs && x&1 != sh.up && x > 0:
-		return termDown
-	case sh.wrap && x == 0:
-		return termWrapUp
-	case sh.wrap && x == L-1:
-		return termWrapDown
-	}
-	return -1
-}
-
 // cyclePartner returns v's mate in class c of the canonical C_n edge
-// coloring (see cycleShape), or -1.
+// coloring, or -1. Even n: class 0 pairs (2i, 2i+1), class 1 pairs
+// (2i+1, 2i+2 mod n). Odd n: the same two stride classes stop short of the
+// wrap edge (n-1, 0), which forms class 2 alone.
 //
 //gossip:hotpath
 func cyclePartner(c, v, n int) int {
-	switch cycleClassShape(c, n).term(v, n) {
-	case termUp:
-		return v + 1
-	case termDown:
+	if n%2 == 0 {
+		if c == 0 {
+			return v ^ 1
+		}
+		if v&1 == 1 {
+			if v == n-1 {
+				return 0
+			}
+			return v + 1
+		}
+		if v == 0 {
+			return n - 1
+		}
 		return v - 1
-	case termWrapUp:
-		return n - 1
-	case termWrapDown:
-		return 0
 	}
-	return -1
-}
-
-// evenBits has bit j set for every even j.
-const evenBits = 0x5555555555555555
-
-// bitRange returns a word with bits [s, e) set, 0 <= s < e <= 64.
-//
-//gossip:hotpath
-func bitRange(s, e int) uint64 {
-	return (^uint64(0) >> uint(64-(e-s))) << uint(s)
-}
-
-// shiftedWord returns the word whose bit j is bit 64w+j+k of x, reading
-// words outside x as 0.
-//
-//gossip:hotpath
-func shiftedWord(x []uint64, w, k int) uint64 {
-	q, s := w+k>>6, uint(k&63)
-	if s == 0 {
-		return wordAt(x, q)
-	}
-	return wordAt(x, q)>>s | wordAt(x, q+1)<<(64-s)
-}
-
-// wordAt returns x[i], or 0 when i is out of range.
-//
-//gossip:hotpath
-func wordAt(x []uint64, i int) uint64 {
-	if uint(i) < uint(len(x)) {
-		return x[i]
-	}
-	return 0
-}
-
-// gridWords is the word form of a cycle coloring laid along one axis of
-// the row-major a×b grid (vertex r·b + c; a cycle is the 1×n grid): along
-// rows the coordinate is c and an offset of 1 moves one bit, along
-// columns it is r and an offset moves b bits. Each word is cut into row
-// segments; a segment adds its vertices to the mask of their offset term
-// (along rows by parity, with the segment's ends at c = 0 and c = b−1
-// resolved by term), and the word is the OR, over the terms o keeps, of
-// the informed set shifted by the term's offset under its mask.
-//
-//gossip:hotpath
-func gridWords(a, b int, column bool, sh cycleShape, o Orientation, wlo, whi int, informed, out []uint64) {
-	L, t := b, 1
-	if column {
-		L, t = a, b
-	}
-	shift := [numTerms]int{t, -t, (L - 1) * t, -(L - 1) * t}
-	n := a * b
-	for i := range out[:whi-wlo] {
-		w := wlo + i
-		var m [numTerms]uint64
-		base := w << 6
-		for v := base; v < min(n, base+64); {
-			r, c := v/b, v%b
-			end := min(v+b-c, base+64)
-			s, e := v-base, end-base
-			seg := bitRange(s, e)
-			if column {
-				if k := sh.term(r, a); k >= 0 {
-					m[k] |= seg
-				}
-				v = end
-				continue
-			}
-			if sh.runs {
-				par := uint64(evenBits) // bits whose coordinate has parity up
-				if (s+c+sh.up)&1 != 0 {
-					par = ^par
-				}
-				m[termUp] |= seg & par
-				m[termDown] |= seg &^ par
-			}
-			// The row's ends within this word take the term of their
-			// coordinate, not the one their parity suggests.
-			if c == 0 {
-				setTerm(&m, s, sh.term(0, L))
-			}
-			if end == v+b-c {
-				setTerm(&m, e-1, sh.term(L-1, L))
-			}
-			v = end
+	switch c {
+	case 0:
+		if v == n-1 {
+			return -1
 		}
-		var x uint64
-		for k, mk := range m {
-			if mk != 0 && o.keeps(shift[k]) {
-				x |= shiftedWord(informed, w, shift[k]) & mk
-			}
+		return v ^ 1
+	case 1:
+		if v == 0 {
+			return -1
 		}
-		out[i] = x
-	}
-}
-
-// setTerm moves bit j of the term masks m to term k (none when k < 0).
-//
-//gossip:hotpath
-func setTerm(m *[numTerms]uint64, j, k int) {
-	bit := uint64(1) << uint(j)
-	m[termUp] &^= bit
-	m[termDown] &^= bit
-	if k >= 0 {
-		m[k] |= bit
+		if v&1 == 1 {
+			return v + 1
+		}
+		return v - 1
+	default:
+		if v == 0 {
+			return n - 1
+		}
+		if v == n-1 {
+			return 0
+		}
+		return -1
 	}
 }
 
@@ -536,11 +438,19 @@ func (c *CycleClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	}
 }
 
-// ExchangeWords shifts the informed words by ±1 and across the wrap edge.
+// ids64 is PartnerChunk one word at a time, for packWords.
+//
+//gossip:hotpath
+func (c *CycleClasses) ids64(cl, lo, hi int) (ids [64]int32) {
+	c.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+	return ids
+}
+
+// ExchangeWords packs PartnerChunk a word at a time through packWords.
 //
 //gossip:hotpath
 func (c *CycleClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
-	gridWords(1, c.n, false, cycleClassShape(cl, c.n), o, wlo, whi, informed, out)
+	packWords(c, cl, o, 0, c.n, wlo, whi, informed, out)
 }
 
 // TorusClasses colors the a×b torus row-cycles first, then column-cycles:
@@ -594,21 +504,44 @@ func (t *TorusClasses) Partner(cl, v int) int {
 //
 //gossip:hotpath
 func (t *TorusClasses) PartnerChunk(cl, lo, hi int, out []int32) {
+	kb := cycleClassCount(t.b)
+	if cl < kb {
+		for v := lo; v < hi; v++ {
+			r, c := v/t.b, v%t.b
+			pc := cyclePartner(cl, c, t.b)
+			if pc < 0 {
+				out[v-lo] = -1
+				continue
+			}
+			out[v-lo] = int32(r*t.b + pc)
+		}
+		return
+	}
+	cl -= kb
 	for v := lo; v < hi; v++ {
-		out[v-lo] = int32(t.Partner(cl, v))
+		r, c := v/t.b, v%t.b
+		pr := cyclePartner(cl, r, t.a)
+		if pr < 0 {
+			out[v-lo] = -1
+			continue
+		}
+		out[v-lo] = int32(pr*t.b + c)
 	}
 }
 
-// ExchangeWords shifts the informed words within rows (by ±1 and ±(b−1))
-// or within columns (by ±b and ±(a−1)·b).
+// ids64 is PartnerChunk one word at a time, for packWords.
+//
+//gossip:hotpath
+func (t *TorusClasses) ids64(cl, lo, hi int) (ids [64]int32) {
+	t.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+	return ids
+}
+
+// ExchangeWords packs PartnerChunk a word at a time through packWords.
 //
 //gossip:hotpath
 func (t *TorusClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
-	if kb := cycleClassCount(t.b); cl >= kb {
-		gridWords(t.a, t.b, true, cycleClassShape(cl-kb, t.a), o, wlo, whi, informed, out)
-		return
-	}
-	gridWords(t.a, t.b, false, cycleClassShape(cl, t.b), o, wlo, whi, informed, out)
+	packWords(t, cl, o, 0, t.n, wlo, whi, informed, out)
 }
 
 // CCCClasses colors CCC(D) cycle-edges first, then cube-edges: classes
@@ -683,16 +616,19 @@ func (c *CCCClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	}
 }
 
-// ExchangeWords packs PartnerChunk a word at a time through senderWord.
+// ids64 is PartnerChunk one word at a time, for packWords.
+//
+//gossip:hotpath
+func (c *CCCClasses) ids64(cl, lo, hi int) (ids [64]int32) {
+	c.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+	return ids
+}
+
+// ExchangeWords packs PartnerChunk a word at a time through packWords.
 //
 //gossip:hotpath
 func (c *CCCClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
-	var ids [64]int32
-	for w := wlo; w < whi; w++ {
-		lo, hi := w<<6, min(w<<6+64, c.n)
-		c.PartnerChunk(cl, lo, hi, ids[:hi-lo])
-		out[w-wlo] = senderWord(ids[:hi-lo], lo, o, informed)
-	}
+	packWords(c, cl, o, 0, c.n, wlo, whi, informed, out)
 }
 
 // ButterflyClasses colors BF(d,D) by level pair and digit rotation: class
@@ -763,24 +699,22 @@ func (b *ButterflyClasses) PartnerChunk(cl, lo, hi int, out []int32) {
 	}
 }
 
-// ExchangeWords packs PartnerChunk a word at a time through senderWord.
-// Class (l, m) matches only levels l−1 and l, so the words wholly outside
-// them receive nothing and skip the per-vertex walk.
+// ids64 is PartnerChunk one word at a time, for packWords.
+//
+//gossip:hotpath
+func (b *ButterflyClasses) ids64(cl, lo, hi int) (ids [64]int32) {
+	b.PartnerChunk(cl, lo, hi, ids[:hi-lo])
+	return ids
+}
+
+// ExchangeWords packs PartnerChunk a word at a time through packWords.
+// Class (l, m) matches only levels l−1 and l, so only their destinations
+// are walked.
 //
 //gossip:hotpath
 func (b *ButterflyClasses) ExchangeWords(cl int, o Orientation, wlo, whi int, informed, out []uint64) {
 	l := cl/b.d + 1
-	vlo, vhi := (l-1)*b.dD, (l+1)*b.dD
-	var ids [64]int32
-	for w := wlo; w < whi; w++ {
-		lo, hi := w<<6, min(w<<6+64, b.n)
-		if hi <= vlo || lo >= vhi {
-			out[w-wlo] = 0
-			continue
-		}
-		b.PartnerChunk(cl, lo, hi, ids[:hi-lo])
-		out[w-wlo] = senderWord(ids[:hi-lo], lo, o, informed)
-	}
+	packWords(b, cl, o, (l-1)*b.dD, (l+1)*b.dD, wlo, whi, informed, out)
 }
 
 // CycleTwoPhase is the cycle2 protocol as a RoundSource: the directed
@@ -838,16 +772,19 @@ func (c *CycleTwoPhase) SenderChunk(r, lo, hi int, out []int32) {
 	}
 }
 
-// ReceiveWords packs SenderChunk a word at a time through senderWord.
+// ids64 is SenderChunk one word at a time, for packWords.
+//
+//gossip:hotpath
+func (c *CycleTwoPhase) ids64(r, lo, hi int) (ids [64]int32) {
+	c.SenderChunk(r, lo, hi, ids[:hi-lo])
+	return ids
+}
+
+// ReceiveWords packs SenderChunk a word at a time through packWords.
 //
 //gossip:hotpath
 func (c *CycleTwoPhase) ReceiveWords(r, wlo, whi int, informed, out []uint64) {
-	var ids [64]int32
-	for w := wlo; w < whi; w++ {
-		lo, hi := w<<6, min(w<<6+64, c.n)
-		c.SenderChunk(r, lo, hi, ids[:hi-lo])
-		out[w-wlo] = senderWord(ids[:hi-lo], lo, Exchange, informed)
-	}
+	packWords(c, r, Exchange, 0, c.n, wlo, whi, informed, out)
 }
 
 // Interface conformance.
