@@ -1,52 +1,40 @@
 // Command benchjson converts `go test -bench` output into a stable JSON
-// document and gates benchmark regressions against a committed baseline —
-// the two halves of the CI bench job.
+// document and checks a converted run against the same-run rules in
+// BENCH.json — the two halves of the CI bench job:
 //
-// Convert (reads the bench output on stdin):
+//	for rep in 1 2 3 4 5 6; do go test -run='^$' -bench=. -benchmem -count=1 ./...; done | benchjson -out BENCH_CI.json
+//	benchjson -check BENCH.json -candidate BENCH_CI.json
 //
-//	go test -bench=. -benchmem -count=6 ./... | benchjson -out BENCH_PR3.json
+// Converting aggregates the repetitions of each benchmark (every result
+// line of one name, from -count or from repeated passes) into one
+// entry: the minimum ns/op (the noise-robust statistic), the mean, and the
+// B/op, allocs/op and custom b.ReportMetric values ("bytes/node", …, kept
+// under "extra") of the fastest repetition.
 //
-// Repeated runs of one benchmark (-count) aggregate into a single entry
-// holding the minimum ns/op (the noise-robust statistic), the mean, and the
-// B/op / allocs/op of the fastest run. Pass -gate to embed the baseline's
-// gate list (the benchmarks later checks hold it responsible for).
-//
-// Check (compares a candidate conversion against the baseline):
-//
-//	benchjson -check -baseline BENCH_PR3.json -candidate new.json \
-//	    -require BenchmarkStep,BenchmarkFrontierStep -threshold 20
-//
-// With no -require the check gates on the baseline's own "gate" list (the
-// benchmarks the baseline declares itself responsible for), falling back to
-// every benchmark the baseline holds — so CI can loop one identical check
-// step over all BENCH_*.json files.
-//
-// The check fails (exit 1) when a required benchmark is missing from either
-// file, its candidate ns/op exceeds the baseline by more than -threshold
-// percent, or its allocs/op grew at all (the hot paths are pinned at zero).
-//
-// Custom b.ReportMetric values ("bytes/node", "rounds", …) are preserved
-// under each benchmark's "extra" map, taken from the fastest repetition.
+// The rules hold no timings, so they hold on any machine. A ratio rule
+// caps the min ns/op of its numerator over that of its denominator, both
+// from the candidate run (a lower bound is a cap with the two swapped); an
+// allocs rule caps allocs/op.
+// Each rule carries its reason. The check exits 1 on any violation, and a
+// benchmark a rule names that is missing from the run is a violation.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Suite is the JSON document: benchmark name → aggregated result, plus the
-// gate list a -check with no -require reads its required names from.
+// Suite is the converted run: benchmark name → aggregated result.
 type Suite struct {
 	Schema     int               `json:"schema"`
-	Gate       []string          `json:"gate,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
@@ -59,6 +47,27 @@ type Result struct {
 	AllocsOp int64              `json:"allocs_op"`  // of the fastest repetition
 	Samples  int                `json:"samples"`
 	Extra    map[string]float64 `json:"extra,omitempty"` // custom metrics, fastest repetition
+}
+
+// Rules is the BENCH.json document: checks evaluated inside one run.
+type Rules struct {
+	Ratios []Ratio `json:"ratios"`
+	Allocs []Alloc `json:"allocs"`
+}
+
+// Ratio caps NsOp(Num) / NsOp(Den) at Max.
+type Ratio struct {
+	Num string   `json:"num"`
+	Den string   `json:"den"`
+	Max *float64 `json:"max"`
+	Why string   `json:"why"`
+}
+
+// Alloc caps the allocs/op of one benchmark.
+type Alloc struct {
+	Bench string `json:"bench"`
+	Max   *int64 `json:"max"`
+	Why   string `json:"why"`
 }
 
 var benchName = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?$`)
@@ -130,82 +139,94 @@ func parseBench(r io.Reader) (*Suite, error) {
 		suite.Benchmarks[name] = res
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchjson: reading bench output: %v", err)
+		return nil, fmt.Errorf("reading bench output: %v", err)
 	}
 	for name, res := range suite.Benchmarks {
 		res.NsOpMean = sums[name] / float64(res.Samples)
 		suite.Benchmarks[name] = res
 	}
 	if len(suite.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchjson: no benchmark lines found in input")
+		return nil, errors.New("no benchmark lines found in input")
 	}
 	return suite, nil
 }
 
-// checkRegressions compares candidate against baseline for the required
-// benchmarks and returns the list of violations (empty = pass).
-func checkRegressions(baseline, candidate *Suite, require []string, thresholdPct float64) []string {
+// validate rejects an empty rule set and any incomplete rule.
+func (r *Rules) validate() error {
+	if len(r.Ratios)+len(r.Allocs) == 0 {
+		return errors.New("no rules")
+	}
+	for _, q := range r.Ratios {
+		if q.Num == "" || q.Den == "" || q.Num == q.Den || q.Max == nil || *q.Max <= 0 || q.Why == "" {
+			return fmt.Errorf("ratio %q / %q needs two distinct benchmarks, a positive max, and a why", q.Num, q.Den)
+		}
+	}
+	for _, a := range r.Allocs {
+		if a.Bench == "" || a.Max == nil || *a.Max < 0 || a.Why == "" {
+			return fmt.Errorf("allocs %q needs a bench, a max of at least 0, and a why", a.Bench)
+		}
+	}
+	return nil
+}
+
+// check evaluates every rule against the run, writes one line per rule to
+// w and returns the violations (empty = pass).
+func check(rules *Rules, run *Suite, w io.Writer) []string {
 	var violations []string
-	for _, name := range require {
-		base, ok := baseline.Benchmarks[name]
+	verdict := func(line string, ok bool) {
+		tag := "ok"
 		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: missing from baseline", name))
+			tag = "FAIL"
+			violations = append(violations, line)
+		}
+		fmt.Fprintf(w, "%-4s %s\n", tag, line)
+	}
+	for _, q := range rules.Ratios {
+		num, okNum := run.Benchmarks[q.Num]
+		den, okDen := run.Benchmarks[q.Den]
+		if !okNum || !okDen {
+			verdict(fmt.Sprintf("%s / %s: missing from the run", q.Num, q.Den), false)
 			continue
 		}
-		cand, ok := candidate.Benchmarks[name]
+		ratio := num.NsOp / den.NsOp
+		verdict(fmt.Sprintf("%s / %s = %.4g (max %g)", q.Num, q.Den, ratio, *q.Max), ratio <= *q.Max)
+	}
+	for _, a := range rules.Allocs {
+		res, ok := run.Benchmarks[a.Bench]
 		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: missing from candidate run", name))
+			verdict(a.Bench+": missing from the run", false)
 			continue
 		}
-		limit := base.NsOp * (1 + thresholdPct/100)
-		if cand.NsOp > limit {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.1f ns/op exceeds baseline %.1f ns/op by more than %.0f%% (limit %.1f)",
-				name, cand.NsOp, base.NsOp, thresholdPct, limit))
-		}
-		if cand.AllocsOp > base.AllocsOp {
-			violations = append(violations, fmt.Sprintf(
-				"%s: %d allocs/op grew from baseline %d", name, cand.AllocsOp, base.AllocsOp))
-		}
+		verdict(fmt.Sprintf("%s: %d allocs/op (max %d)", a.Bench, res.AllocsOp, *a.Max), res.AllocsOp <= *a.Max)
 	}
 	return violations
 }
 
-// gateNames resolves the benchmarks a check gates on: an explicit -require
-// list wins, then the baseline's own gate declaration, then every benchmark
-// the baseline holds (sorted, so runs are reproducible).
-func gateNames(require string, baseline *Suite) []string {
-	if require != "" {
-		names := strings.Split(require, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		return names
+// decodeFile reads one JSON document into v, rejecting unknown fields.
+func decodeFile(path string, v any) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	if len(baseline.Gate) > 0 {
-		return baseline.Gate
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("parsing %s: %v", path, err)
 	}
-	names := make([]string, 0, len(baseline.Benchmarks))
-	for name := range baseline.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return nil
 }
 
-func loadSuite(path string) (*Suite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchjson: %v", err)
+// loadRules reads and validates a rules file.
+func loadRules(path string) (*Rules, error) {
+	var r Rules
+	if err := decodeFile(path, &r); err != nil {
+		return nil, err
 	}
-	var s Suite
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("benchjson: parsing %s: %v", path, err)
+	if err := r.validate(); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if s.Benchmarks == nil {
-		return nil, fmt.Errorf("benchjson: %s holds no benchmarks", path)
-	}
-	return &s, nil
+	return &r, nil
 }
 
 func writeSuite(path string, s *Suite) error {
@@ -222,61 +243,33 @@ func writeSuite(path string, s *Suite) error {
 }
 
 func main() {
-	check := flag.Bool("check", false, "compare -candidate against -baseline instead of converting")
+	rulesPath := flag.String("check", "", "rules file (BENCH.json): check -candidate against it instead of converting")
+	candidatePath := flag.String("candidate", "", "converted run to check (check mode)")
 	out := flag.String("out", "-", "output path for the converted JSON (- = stdout)")
-	baselinePath := flag.String("baseline", "", "baseline suite JSON (check mode)")
-	candidatePath := flag.String("candidate", "", "candidate suite JSON (check mode)")
-	require := flag.String("require", "",
-		"comma-separated benchmarks the check gates on (default: the baseline's gate list, else every baseline benchmark)")
-	gate := flag.String("gate", "",
-		"comma-separated gate list embedded in the converted JSON (convert mode)")
-	threshold := flag.Float64("threshold", 20, "allowed ns/op regression percentage")
 	flag.Parse()
 
-	if *check {
-		if *baselinePath == "" || *candidatePath == "" {
-			fatalf("check mode needs -baseline and -candidate")
+	if *rulesPath != "" {
+		if *candidatePath == "" {
+			fatalf("check mode needs -candidate")
 		}
-		baseline, err := loadSuite(*baselinePath)
+		rules, err := loadRules(*rulesPath)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		candidate, err := loadSuite(*candidatePath)
-		if err != nil {
+		var candidate Suite
+		if err := decodeFile(*candidatePath, &candidate); err != nil {
 			fatalf("%v", err)
 		}
-		names := gateNames(*require, baseline)
-		violations := checkRegressions(baseline, candidate, names, *threshold)
-		for _, name := range names {
-			if b, ok := baseline.Benchmarks[name]; ok {
-				if c, ok := candidate.Benchmarks[name]; ok {
-					fmt.Printf("%s: baseline %.1f ns/op, candidate %.1f ns/op (%+.1f%%), allocs %d -> %d\n",
-						name, b.NsOp, c.NsOp, 100*(c.NsOp-b.NsOp)/b.NsOp, b.AllocsOp, c.AllocsOp)
-				}
-			}
+		if violations := check(rules, &candidate, os.Stdout); len(violations) > 0 {
+			fatalf("%d of %d rules violated", len(violations), len(rules.Ratios)+len(rules.Allocs))
 		}
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("benchjson: no regressions")
+		fmt.Println("benchjson: every rule holds")
 		return
 	}
 
 	suite, err := parseBench(os.Stdin)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *gate != "" {
-		for _, name := range strings.Split(*gate, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := suite.Benchmarks[name]; !ok {
-				fatalf("gate entry %s is not in the converted run", name)
-			}
-			suite.Gate = append(suite.Gate, name)
-		}
 	}
 	if err := writeSuite(*out, suite); err != nil {
 		fatalf("%v", err)

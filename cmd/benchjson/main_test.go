@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -58,55 +59,41 @@ func TestParseBenchRejectsEmpty(t *testing.T) {
 }
 
 func TestCheckRegressions(t *testing.T) {
-	baseline := &Suite{Benchmarks: map[string]Result{
-		"BenchmarkStep":         {NsOp: 10000, AllocsOp: 0},
-		"BenchmarkFrontierStep": {NsOp: 2000, AllocsOp: 0},
-	}}
-	require := []string{"BenchmarkStep", "BenchmarkFrontierStep"}
-
-	// Within threshold: 15% slower passes at 20%.
-	ok := &Suite{Benchmarks: map[string]Result{
-		"BenchmarkStep":         {NsOp: 11500, AllocsOp: 0},
-		"BenchmarkFrontierStep": {NsOp: 2100, AllocsOp: 0},
-	}}
-	if v := checkRegressions(baseline, ok, require, 20); len(v) != 0 {
-		t.Errorf("in-threshold run flagged: %v", v)
+	half, zero := 0.5, int64(0)
+	rules := &Rules{
+		Ratios: []Ratio{
+			{Num: "BenchmarkFast", Den: "BenchmarkOracle", Max: &half, Why: "fast path"},
+		},
+		Allocs: []Alloc{{Bench: "BenchmarkFast", Max: &zero, Why: "hot path"}},
+	}
+	run := func(fast float64, allocs int64) *Suite {
+		return &Suite{Benchmarks: map[string]Result{
+			"BenchmarkFast":   {NsOp: fast, AllocsOp: allocs},
+			"BenchmarkOracle": {NsOp: 10000},
+		}}
 	}
 
-	// Beyond threshold fails.
-	slow := &Suite{Benchmarks: map[string]Result{
-		"BenchmarkStep":         {NsOp: 12100, AllocsOp: 0},
-		"BenchmarkFrontierStep": {NsOp: 2000, AllocsOp: 0},
-	}}
-	v := checkRegressions(baseline, slow, require, 20)
-	if len(v) != 1 || !strings.Contains(v[0], "BenchmarkStep") {
-		t.Errorf("21%% regression not flagged correctly: %v", v)
+	// Within the bound (the bound is inclusive).
+	for _, fast := range []float64{4000, 5000} {
+		if v := check(rules, run(fast, 0), io.Discard); len(v) != 0 {
+			t.Errorf("fast = %v flagged: %v", fast, v)
+		}
 	}
 
-	// New allocations on a zero-alloc hot path fail regardless of speed.
-	alloc := &Suite{Benchmarks: map[string]Result{
-		"BenchmarkStep":         {NsOp: 9000, AllocsOp: 1},
-		"BenchmarkFrontierStep": {NsOp: 2000, AllocsOp: 0},
-	}}
-	v = checkRegressions(baseline, alloc, require, 20)
-	if len(v) != 1 || !strings.Contains(v[0], "allocs") {
+	// Past the bound, the rule fails.
+	if v := check(rules, run(5100, 0), io.Discard); len(v) != 1 || !strings.Contains(v[0], "(max 0.5)") {
+		t.Errorf("ratio past its bound not flagged: %v", v)
+	}
+
+	// A new allocation fails whatever the speed.
+	if v := check(rules, run(1000, 1), io.Discard); len(v) != 1 || !strings.Contains(v[0], "allocs/op") {
 		t.Errorf("alloc regression not flagged: %v", v)
 	}
 
-	// A required benchmark missing from the candidate fails.
-	missing := &Suite{Benchmarks: map[string]Result{
-		"BenchmarkStep": {NsOp: 10000},
-	}}
-	v = checkRegressions(baseline, missing, require, 20)
-	if len(v) != 1 || !strings.Contains(v[0], "missing from candidate") {
-		t.Errorf("missing benchmark not flagged: %v", v)
-	}
-
-	// A benchmark absent from the baseline fails too (the gate must never
-	// silently skip).
-	v = checkRegressions(&Suite{Benchmarks: map[string]Result{}}, ok, require, 20)
-	if len(v) != 2 {
-		t.Errorf("missing baseline entries not flagged: %v", v)
+	// A benchmark missing from the run fails every rule that names it.
+	missing := &Suite{Benchmarks: map[string]Result{"BenchmarkOracle": {NsOp: 10000}}}
+	if v := check(rules, missing, io.Discard); len(v) != 2 {
+		t.Errorf("missing benchmark not flagged by every rule: %v", v)
 	}
 }
 
@@ -128,27 +115,5 @@ BenchmarkGenProgramStep-8	  100	 14000 ns/op	 4.500 bytes/node	 0 B/op	 0 allocs
 	}
 	if res.Extra["bytes/node"] != 4.5 {
 		t.Fatalf("extra metric of fastest repetition = %v, want 4.5", res.Extra)
-	}
-}
-
-func TestGateNames(t *testing.T) {
-	baseline := &Suite{
-		Gate: []string{"BenchmarkB", "BenchmarkA"},
-		Benchmarks: map[string]Result{
-			"BenchmarkA": {}, "BenchmarkB": {}, "BenchmarkC": {},
-		},
-	}
-	// Explicit -require wins over the baseline's gate.
-	if got := gateNames("BenchmarkC, BenchmarkA", baseline); len(got) != 2 || got[0] != "BenchmarkC" || got[1] != "BenchmarkA" {
-		t.Fatalf("explicit require: %v", got)
-	}
-	// Empty -require reads the baseline's gate list, order preserved.
-	if got := gateNames("", baseline); len(got) != 2 || got[0] != "BenchmarkB" || got[1] != "BenchmarkA" {
-		t.Fatalf("baseline gate: %v", got)
-	}
-	// A gate-less baseline gates on everything it holds, sorted.
-	baseline.Gate = nil
-	if got := gateNames("", baseline); len(got) != 3 || got[0] != "BenchmarkA" || got[2] != "BenchmarkC" {
-		t.Fatalf("fallback gate: %v", got)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // words from the vertex ids. Each reports its resident footprint as
 // bytes/node: the CSR Program carries ~8 bytes per fused pair per round on
 // top of the frontier bits, the generator's scratch is one fixed chunk of
-// receive words. The BENCH_PR10 gate holds the generator step within the
-// accepted ratio of the CSR step (see .github/workflows/ci.yml).
+// receive words. BENCH.json bounds the generator step's ratio to the CSR
+// step, and the CSR step's ratio to the arc-slice oracle, each measured in
+// the same run.
 
 func genProgramBenchSchedule() *gossip.GenProgram {
 	sched := topology.NewSchedule(topology.NewHypercubeClasses(12))
@@ -57,6 +58,21 @@ func BenchmarkGenProgramStepCSR(b *testing.B) {
 	// One fused exchange (8 bytes) per vertex per round, period d rounds,
 	// on top of the two frontier bitsets.
 	b.ReportMetric(float64(2*(n/8)+8*(n/2)*12)/float64(n), "bytes/node")
+}
+
+// BenchmarkGenProgramStepOracle drives the same materialized rounds
+// through the test-only FrontierState.Step arc-slice oracle: the reference
+// BENCH.json times the compiled frontier step of BenchmarkGenProgramStepCSR
+// against.
+func BenchmarkGenProgramStepOracle(b *testing.B) {
+	gen := genProgramBenchSchedule()
+	p := gen.Materialize()
+	fr := gossip.NewFrontierState(gen.N(), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr.Step(p.Round(i))
+	}
 }
 
 // BenchmarkGenProgramStepFamilies steps the periodic full-duplex schedules

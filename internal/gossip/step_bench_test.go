@@ -36,8 +36,7 @@ func BenchmarkStep(b *testing.B) {
 // is fully fused into 2048 exchange ops) and StepProgram executes the IR
 // with zero allocations. Compare
 // with BenchmarkUncompiledStep, the arc-slice oracle on the identical
-// workload, for the compile-once win; BenchmarkStep (DB(2,12), a ~4×
-// smaller per-round workload) remains the cross-PR regression anchor.
+// workload, for the compile-once win; BENCH.json bounds that ratio.
 func BenchmarkCompiledStep(b *testing.B) {
 	hc := topology.Hypercube(12)
 	p := protocols.HypercubeExchange(12)

@@ -25,13 +25,8 @@ type Operator interface {
 // computed by OpNorm2's Lanczos kernel.
 func Norm2(m *Dense) float64 {
 	var s NormScratch
-	return m.Norm2Scratch(&s)
+	return OpNorm2(m, &s)
 }
-
-// Norm2Scratch computes ‖m‖₂ like Norm2 while drawing every Lanczos vector
-// from the scratch — repeated evaluations perform zero steady-state
-// allocations. The result is bit-identical to Norm2.
-func (m *Dense) Norm2Scratch(s *NormScratch) float64 { return OpNorm2(m, s) }
 
 // NormScratch holds the working vectors of one norm computation so callers
 // evaluating many matrices (or one matrix at many λ) can reuse them. The
@@ -317,27 +312,4 @@ func IsSemiEigenvector(m *Dense, x Vector, e, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// BlockDiagNorm2 returns max over the blocks of ‖block‖₂; by norm property 8
-// of Section 2 this equals the norm of the block-diagonal matrix assembled
-// from the blocks.
-func BlockDiagNorm2(blocks []*Dense) float64 {
-	var s NormScratch
-	return BlockDiagNorm2Scratch(blocks, &s)
-}
-
-// BlockDiagNorm2Scratch is BlockDiagNorm2 with every block's Lanczos run
-// drawing from one reusable scratch; repeated evaluations over a fixed block
-// structure perform zero steady-state allocations.
-//
-//gossip:hotpath
-func BlockDiagNorm2Scratch(blocks []*Dense, s *NormScratch) float64 {
-	var max float64
-	for _, b := range blocks {
-		if n := OpNorm2(b, s); n > max {
-			max = n
-		}
-	}
-	return max
 }

@@ -174,9 +174,6 @@ func TestBlockDiagNorm(t *testing.T) {
 	if got := Norm2(big); math.Abs(got-want) > 1e-8 {
 		t.Errorf("block-diag norm = %g, want %g", got, want)
 	}
-	if got := BlockDiagNorm2([]*Dense{a, b}); math.Abs(got-want) > 1e-8 {
-		t.Errorf("BlockDiagNorm2 = %g, want %g", got, want)
-	}
 }
 
 func TestVectorOps(t *testing.T) {

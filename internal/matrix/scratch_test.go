@@ -45,35 +45,35 @@ func TestNorm2ScratchMatchesNorm2(t *testing.T) {
 			t.Errorf("seed %d: CSR Norm2Scratch = %v, Norm2 = %v", seed, got, want)
 		}
 		d := randomDense(15+int(seed)*5, 10+int(seed)*4, seed)
-		if got, want := d.Norm2Scratch(&s), Norm2(d); got != want {
-			t.Errorf("seed %d: Dense Norm2Scratch = %v, Norm2 = %v", seed, got, want)
+		if got, want := OpNorm2(d, &s), Norm2(d); got != want {
+			t.Errorf("seed %d: Dense OpNorm2 = %v, Norm2 = %v", seed, got, want)
 		}
-	}
-	blocks := []*Dense{randomDense(8, 6, 1), randomDense(3, 9, 2), NewDense(0, 4), randomDense(7, 7, 3)}
-	if got, want := BlockDiagNorm2Scratch(blocks, &s), BlockDiagNorm2(blocks); got != want {
-		t.Errorf("BlockDiagNorm2Scratch = %v, BlockDiagNorm2 = %v", got, want)
 	}
 }
 
 // TestNormZeroAlloc pins the scratch contract: after one warm-up call, the
-// CSR, Dense and block-diagonal norm evaluations allocate nothing.
+// CSR and Dense norm evaluations allocate nothing, also when one scratch
+// serves blocks of alternating shapes.
 func TestNormZeroAlloc(t *testing.T) {
 	c := randomCSR(120, 120, 4, 42)
 	d := randomDense(40, 35, 42)
 	blocks := []*Dense{randomDense(12, 9, 5), randomDense(9, 12, 6)}
 	var s NormScratch
 	c.Norm2Scratch(&s)
-	d.Norm2Scratch(&s)
-	BlockDiagNorm2Scratch(blocks, &s)
+	OpNorm2(d, &s)
 
 	if allocs := testing.AllocsPerRun(50, func() { c.Norm2Scratch(&s) }); allocs != 0 {
 		t.Errorf("CSR Norm2Scratch allocates %.1f per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { d.Norm2Scratch(&s) }); allocs != 0 {
-		t.Errorf("Dense Norm2Scratch allocates %.1f per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { OpNorm2(d, &s) }); allocs != 0 {
+		t.Errorf("Dense OpNorm2 allocates %.1f per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { BlockDiagNorm2Scratch(blocks, &s) }); allocs != 0 {
-		t.Errorf("BlockDiagNorm2Scratch allocates %.1f per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() {
+		for _, b := range blocks {
+			OpNorm2(b, &s)
+		}
+	}); allocs != 0 {
+		t.Errorf("OpNorm2 over alternating block shapes allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -122,8 +122,7 @@ func TestMulVecToMatchesMulVec(t *testing.T) {
 
 // BenchmarkMatrixNorm measures the zero-alloc spectral-norm evaluation on a
 // delay-matrix-shaped sparse operator — the inner move of every λ evaluation
-// in the certification pipeline. The CI benchjson gate pins its allocs at
-// zero against BENCH_PR5.json.
+// in the certification pipeline. BENCH.json pins its allocs at zero.
 func BenchmarkMatrixNorm(b *testing.B) {
 	m := randomCSR(2048, 2048, 6, 1)
 	var s NormScratch

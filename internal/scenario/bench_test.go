@@ -11,7 +11,7 @@ import (
 
 // BenchmarkScenarioStep measures an inactive (loss=0, no faults) scenario
 // step on the exact BenchmarkCompiledStep workload — hypercube H(12)
-// under the dimension-exchange schedule. The contract the CI gate pins:
+// under the dimension-exchange schedule. The contract BENCH.json pins:
 // 0 allocs/op and within noise of BenchmarkCompiledStep, because the
 // inactive trial delegates straight to the unmasked StepProgram.
 func BenchmarkScenarioStep(b *testing.B) {

@@ -12,13 +12,14 @@ import (
 // against the scalar per-source oracle on the acceptance workloads: a full
 // hypercube d=12 scan (4096 sources, 64 batches) and a 64-source subset of
 // hypercube d=16 (65536 vertices, one batch, vertex-sharded). Workers are
-// pinned at 4 so the allocation counts the CI gate pins do not depend on
-// the benchmark machine's GOMAXPROCS.
+// pinned at 4. The packed scans' allocation counts still vary with
+// GOMAXPROCS and between repetitions, so BENCH.json bounds only their
+// time ratios.
 //
 // The *Gen variants run the same scans over the hypercube generator (an
 // implicit view of the same networks), pinning the price
-// of computing arcs on the fly instead of walking the digraph's CSR — the
-// acceptance bound is packed gen within 1.3x of packed CSR at d=12.
+// of computing arcs on the fly instead of walking the digraph's CSR;
+// BENCH.json bounds that ratio at d=12 and d=16.
 
 // scanFunc is AnalyzeBroadcastAll or one of the oracle scans below.
 type scanFunc func(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error)
